@@ -1,7 +1,7 @@
-// bench_campaign_throughput: campaign-runtime scheduling benchmark.
+// bench_campaign_throughput: campaign-runtime throughput benchmark.
 //
-// Runs the same fault-injection campaign under the legacy static round-robin
-// sharding and the chunked dynamic scheduler, on two trial mixes:
+// Runs fault-injection campaigns under the runtime's guided dynamic
+// scheduler on two trial mixes:
 //
 //   balanced   IOV-only injections on MXM — every trial costs roughly the
 //              golden runtime, so any schedule balances well;
@@ -11,13 +11,15 @@
 //              of trials burn the full watchdog budget, ~20x the median),
 //              the load profile that stalls static shards.
 //
-// For each (mix, schedule) it reports wall-clock trials/sec and, because
-// wall clock on a loaded/oversubscribed CI box is noisy, also a
-// deterministic *model makespan*: per-trial simulated-cycle costs (identical
-// across schedules — results are bit-identical) replayed through each
-// scheduling policy. `model_x` is the modeled speedup of the dynamic
+// For each mix it reports wall-clock trials/sec and, because wall clock on
+// a loaded/oversubscribed CI box is noisy, also a deterministic *model
+// makespan*: the per-trial simulated-cycle costs (trial_cycles_out)
+// replayed through guided dynamic scheduling and through static
+// round-robin sharding. `model_x` is the modelled speedup of the dynamic
 // scheduler over static sharding at the requested worker count; it is the
-// scheduling-limited bound a parallel host converges to.
+// scheduling-limited bound a parallel host converges to. The fork-heavy and
+// graph-heavy mixes then compare plain execution against checkpoint-fork
+// batching.
 //
 //   ./bench_campaign_throughput --workers=4 --ia=160 --injections=40
 //   GPUREL_TELEMETRY=out.jsonl ./bench_campaign_throughput --progress
@@ -58,16 +60,15 @@ std::uint64_t static_makespan(const std::vector<std::uint64_t>& cost,
   return worst;
 }
 
-/// Replay per-trial costs through chunked dynamic self-scheduling: each free
-/// worker pulls the next chunk (guided_chunk sizes when chunk == 0, exactly
-/// like parallel_chunks); the makespan is the last worker to finish.
+/// Replay per-trial costs through guided dynamic self-scheduling: each free
+/// worker pulls the next guided_chunk, exactly like the campaign runtime;
+/// the makespan is the last worker to finish.
 std::uint64_t dynamic_makespan(const std::vector<std::uint64_t>& cost,
-                               unsigned workers, std::size_t chunk) {
+                               unsigned workers) {
   std::vector<std::uint64_t> busy_until(workers, 0);
   for (std::size_t begin = 0; begin < cost.size();) {
-    const std::size_t size =
-        chunk > 0 ? chunk : guided_chunk(cost.size() - begin, workers);
-    const std::size_t end = std::min(cost.size(), begin + size);
+    const std::size_t end = std::min(
+        cost.size(), begin + guided_chunk(cost.size() - begin, workers));
     std::uint64_t chunk_cost = 0;
     for (std::size_t t = begin; t < end; ++t) chunk_cost += cost[t];
     auto next = std::min_element(busy_until.begin(), busy_until.end());
@@ -87,7 +88,6 @@ int main(int argc, char** argv) {
       cli.get_int_env("injections", "GPUREL_INJECTIONS", 16));
   const unsigned ia = static_cast<unsigned>(cli.get_int("ia", 4 * iov));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  const unsigned chunk_flag = static_cast<unsigned>(cli.get_int("chunk", 0));
   const double scale = cli.get_double("scale", 0.05);
   const bool csv = cli.get_bool("csv");
   const bool progress = cli.get_bool_env("progress", "GPUREL_PROGRESS", false);
@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
 
   fault::CampaignConfig base;
   base.injections_per_kind = iov;
-  base.chunk = chunk_flag;
   base.seed = seed;
   base.workers = workers;
   base.progress = progress;
@@ -125,74 +124,46 @@ int main(int argc, char** argv) {
   for (const Mix& mix : mixes) {
     const auto factory =
         kernels::workload_factory(mix.code, core::Precision::Single, wc);
-    // One fault-free counting pass per mix, shared by both schedule runs
-    // (identical trial sets either way -- the counts are schedule-invariant).
-    const fault::SiteCounts sites = fault::count_sites(*injector, factory);
     std::vector<std::uint64_t> cost;
-    fault::CampaignResult reference;
-    double speedup_model = 0.0;
-    for (const bool dynamic : {false, true}) {
-      fault::CampaignConfig cc = mix.config;
-      cc.schedule = dynamic ? fault::Schedule::Dynamic
-                            : fault::Schedule::StaticRoundRobin;
-      cc.sites = &sites;
-      cc.trial_cycles_out = &cost;
-      cc.trace = exporter.trace();
-      telemetry::Timer wall;
-      const auto result = fault::run_campaign(*injector, factory, cc);
-      const double ms = wall.elapsed_ms();
-      const obs::Labels labels{{"bench", "campaign_throughput"},
-                               {"mix", mix.name},
-                               {"schedule", dynamic ? "dynamic" : "static"}};
-      auto& metrics = obs::Registry::global();
-      const double tps =
-          ms > 0 ? 1000.0 * static_cast<double>(cost.size()) / ms : 0.0;
-      metrics.gauge("gpurel_bench_wall_ms", labels).set(ms);
-      metrics.gauge("gpurel_bench_trials_per_sec", labels).set(tps);
-      json_entries.emplace_back("campaign/" + mix.name + "/" +
-                                    (dynamic ? "dynamic" : "static") +
-                                    ".trials_per_s",
-                                tps);
+    fault::CampaignConfig cc = mix.config;
+    cc.trial_cycles_out = &cost;
+    cc.trace = exporter.trace();
+    telemetry::Timer wall;
+    fault::run_campaign(*injector, factory, cc);
+    const double ms = wall.elapsed_ms();
+    const double tps =
+        ms > 0 ? 1000.0 * static_cast<double>(cost.size()) / ms : 0.0;
+    const obs::Labels labels{{"bench", "campaign_throughput"},
+                             {"mix", mix.name},
+                             {"schedule", "dynamic"}};
+    auto& metrics = obs::Registry::global();
+    metrics.gauge("gpurel_bench_wall_ms", labels).set(ms);
+    metrics.gauge("gpurel_bench_trials_per_sec", labels).set(tps);
+    json_entries.emplace_back("campaign/" + mix.name + "/dynamic.trials_per_s",
+                              tps);
 
-      if (!dynamic) {
-        reference = result;
-      } else if (result.total_injections() != reference.total_injections() ||
-                 result.overall_avf_sdc() != reference.overall_avf_sdc() ||
-                 result.overall_avf_due() != reference.overall_avf_due()) {
-        std::fprintf(stderr, "FATAL: schedules disagree on %s\n",
-                     mix.name.c_str());
-        return 1;
-      }
-
-      const std::uint64_t makespan =
-          dynamic ? dynamic_makespan(cost, workers, cc.chunk)
-                  : static_makespan(cost, workers);
-      if (dynamic)
-        speedup_model = static_cast<double>(static_makespan(cost, workers)) /
-                        static_cast<double>(std::max<std::uint64_t>(1, makespan));
-
-      table.row()
-          .cell(mix.name)
-          .cell(dynamic ? "dynamic" : "static")
-          .cell_int(static_cast<long long>(cost.size()))
-          .cell(ms, 1)
-          .cell(ms > 0 ? 1000.0 * static_cast<double>(cost.size()) / ms : 0.0, 1)
-          .cell(static_cast<double>(makespan) / 1e6, 2)
-          .cell(dynamic ? speedup_model : 1.0, 2);
-    }
+    const std::uint64_t makespan = dynamic_makespan(cost, workers);
+    table.row()
+        .cell(mix.name)
+        .cell("dynamic")
+        .cell_int(static_cast<long long>(cost.size()))
+        .cell(ms, 1)
+        .cell(tps, 1)
+        .cell(static_cast<double>(makespan) / 1e6, 2)
+        .cell(static_cast<double>(static_makespan(cost, workers)) /
+                  static_cast<double>(std::max<std::uint64_t>(1, makespan)),
+              2);
   }
 
   // Checkpoint-fork batching: the same injection-heavy profile as due-heavy,
   // but on MXM, which is fork-safe (host-stepped QUICKSORT reads host state
-  // mid-trial and falls back to plain execution). Three series: plain
-  // execution, forked with full-image restores (the PR 6 shape), and forked
-  // with delta (dirty-tracking) restores plus the shared snapshot pool.
-  // Results are bit-identical across all three; only wall-clock moves.
+  // mid-trial and falls back to plain execution). Two series: plain
+  // execution, and forked (delta restores from the shared snapshot set).
+  // Results are bit-identical across both; only wall-clock moves.
   {
     const unsigned fork_epochs =
         std::max<unsigned>(1, static_cast<unsigned>(cli.get_int("fork-epochs", 8)));
     fault::CampaignConfig fc = base;
-    fc.schedule = fault::Schedule::Dynamic;
     fc.injections_per_kind = std::max(1u, iov / 4);
     // IA-skewed: instruction-address trials usually DUE at the fault itself,
     // so a plain run pays the whole prefix for nothing while a forked run
@@ -204,10 +175,9 @@ int main(int argc, char** argv) {
         kernels::workload_factory("MXM", core::Precision::Single, wc);
     fault::CampaignResult reference;
     double plain_tps = 0.0;
-    for (const std::string mode : {"plain", "forked", "delta"}) {
+    for (const std::string mode : {"plain", "delta"}) {
       fault::CampaignConfig cc = fc;
       cc.fork_epochs = mode == "plain" ? 0 : fork_epochs;
-      cc.fork_delta = mode == "delta";
       std::vector<std::uint64_t> cost;
       cc.trial_cycles_out = &cost;
       cc.trace = exporter.trace();
@@ -262,7 +232,6 @@ int main(int argc, char** argv) {
         std::max<unsigned>(1, static_cast<unsigned>(cli.get_int("reps", 3)));
     const std::vector<std::string> codes{"BFS-DEV", "CCL-DEV", "QUICKSORT-DEV"};
     fault::CampaignConfig gc = base;
-    gc.schedule = fault::Schedule::Dynamic;
     gc.injections_per_kind = std::max(1u, iov / 4);
     gc.ia_injections = ia;
     gc.rf_injections = ia / 2;
@@ -340,7 +309,7 @@ int main(int argc, char** argv) {
   if (csv) std::fputs(table.to_csv().c_str(), stdout);
   else std::fputs(table.to_text().c_str(), stdout);
   std::fputc('\n', stdout);
-  std::printf("workers=%u; model_x = modeled dynamic-vs-static speedup from "
+  std::printf("workers=%u; model_x = modelled dynamic-vs-static speedup from "
               "per-trial simulated cycles\n", workers);
   bench::write_bench_json(bench_json, json_entries);
   return 0;

@@ -315,18 +315,17 @@ ExposureBreakdown compute_exposure(const core::Workload& w,
 
 BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& factory,
                     const BeamConfig& config) {
-  auto ref = factory();
-  sim::Device ref_dev(ref->config().gpu);
-  ref->prepare(ref_dev);
-  const std::uint64_t allocated_bits = ref_dev.memory().allocated_bits();
-  const ExposureBreakdown exposure = compute_exposure(*ref, allocated_bits);
+  core::Instance ref = core::make_instance(factory);
+  const std::uint64_t allocated_bits = ref.dev->memory().allocated_bits();
+  const ExposureBreakdown exposure = compute_exposure(*ref.w, allocated_bits);
   const Weights weights = compute_weights(db, exposure);
   const double total_weight = weights.total();
-  const sim::LaunchStats& golden = ref->golden_stats();
+  const sim::LaunchStats& golden = ref.w->golden_stats();
+  const unsigned max_regs = ref.w->max_regs_per_thread();
 
   BeamResult result;
-  result.workload = ref->name();
-  result.device = ref->config().gpu.name;
+  result.workload = ref.w->name();
+  result.device = ref.w->config().gpu.name;
   result.ecc = config.ecc;
   result.mode = config.mode;
   result.device_sigma_rate =
@@ -377,16 +376,12 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
   obs::Histogram& m_latency = metrics.histogram("gpurel_beam_run_latency_ms");
   telemetry::Timer wall;
   const unsigned workers = std::max(1u, config.workers);
-  const bool dynamic = config.schedule == fault::Schedule::Dynamic;
-  const std::size_t chunk = config.chunk;  // 0 = guided (see guided_chunk)
   if (sink != nullptr)
     sink->emit("beam_start",
                {{"workload", result.workload},
                 {"device", result.device},
                 {"runs", std::uint64_t{owned.size()}},
                 {"workers", workers},
-                {"chunk", dynamic ? chunk : std::size_t{0}},
-                {"schedule", dynamic ? "dynamic" : "static"},
                 {"mode", config.mode == BeamMode::Accelerated ? "accelerated"
                                                               : "natural"},
                 {"ecc", config.ecc},
@@ -472,34 +467,12 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
   }
 
   // Per-run records, tallied serially afterwards (bit-identical results for
-  // any worker count / chunk size / schedule).
+  // any worker count).
   std::vector<core::Outcome> outcomes(config.runs, core::Outcome::Masked);
   std::vector<std::uint8_t> run_target(config.runs,
                                        static_cast<std::uint8_t>(kTargets));
 
-  // Each worker lazily prepares one workload instance and reuses it across
-  // all runs it pulls; worker 0 inherits the reference instance.
-  struct WorkerState {
-    std::unique_ptr<core::Workload> w;
-    std::unique_ptr<sim::Device> dev;
-    unsigned max_regs = 0;
-  };
-  std::vector<WorkerState> states(workers);
-  states[0].w = std::move(ref);
-  states[0].dev = std::make_unique<sim::Device>(states[0].w->config().gpu);
-  states[0].max_regs = states[0].w->max_regs_per_thread();
-  auto ensure_state = [&](std::size_t s) -> WorkerState& {
-    WorkerState& st = states[s];
-    if (!st.w) {
-      st.w = factory();
-      st.dev = std::make_unique<sim::Device>(st.w->config().gpu);
-      st.w->prepare(*st.dev);
-      st.max_regs = st.w->max_regs_per_thread();
-    }
-    return st;
-  };
-
-  auto run_one = [&](WorkerState& st, std::size_t r) {
+  auto run_one = [&](core::Instance& inst, std::size_t r) {
     const telemetry::Timer run_wall;
     Rng rng(seeds[r]);
     if (config.mode == BeamMode::Accelerated) {
@@ -508,8 +481,8 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
       if (s.immediate) {
         outcome = s.immediate_outcome;
       } else {
-        BeamObserver obs({s.plan}, st.max_regs);
-        outcome = st.w->run_trial(*st.dev, &obs).outcome;
+        BeamObserver obs({s.plan}, max_regs);
+        outcome = inst.w->run_trial(*inst.dev, &obs).outcome;
       }
       outcomes[r] = outcome;
       run_target[r] = static_cast<std::uint8_t>(s.target);
@@ -531,8 +504,8 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
       if (immediate_due) {
         outcome = core::Outcome::Due;
       } else if (!plans.empty()) {
-        BeamObserver obs(std::move(plans), st.max_regs);
-        outcome = st.w->run_trial(*st.dev, &obs).outcome;
+        BeamObserver obs(std::move(plans), max_regs);
+        outcome = inst.w->run_trial(*inst.dev, &obs).outcome;
       }
       outcomes[r] = outcome;
     }
@@ -543,7 +516,19 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
   telemetry::Progress progress(config.progress, "beam " + result.workload,
                                owned.size());
   telemetry::Counter done;
-  auto after_chunk = [&](std::size_t begin, std::size_t end) {
+  // Chunks are *positions* in the owned order (dense [0, owned.size()));
+  // run_one maps them back to global run ids.
+  auto run_chunk = [&](core::Instance& inst, std::size_t worker,
+                       std::size_t begin, std::size_t end) {
+    const double t0 = trace != nullptr ? trace->now_us() : 0.0;
+    for (std::size_t p = begin; p < end; ++p) run_one(inst, owned[p]);
+    if (trace != nullptr) {
+      trace->name_thread(obs::kWallPid, static_cast<int>(worker),
+                         "worker " + std::to_string(worker));
+      trace->complete("beam " + result.workload, "beam", obs::kWallPid,
+                      static_cast<int>(worker), t0, trace->now_us() - t0,
+                      {{"begin", begin}, {"runs", end - begin}});
+    }
     done.add(end - begin);
     progress.tick(end - begin);
     if (sink != nullptr)
@@ -552,55 +537,10 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
                                 {"done", done.value()},
                                 {"total", std::uint64_t{owned.size()}}});
   };
-  auto emit_chunk_span = [&](std::size_t worker, double t0, std::size_t begin,
-                             std::size_t n) {
-    if (trace == nullptr) return;
-    trace->name_thread(obs::kWallPid, static_cast<int>(worker),
-                       "worker " + std::to_string(worker));
-    trace->complete("beam " + result.workload, "beam", obs::kWallPid,
-                    static_cast<int>(worker), t0, trace->now_us() - t0,
-                    {{"begin", begin}, {"runs", n}});
-  };
-  // Ranges handed to the schedulers are *positions* in the owned order
-  // (dense [0, owned.size())); run_one maps them back to global run ids.
-  auto run_range = [&](std::size_t worker, std::size_t begin, std::size_t end) {
-    WorkerState& st = ensure_state(worker);
-    const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-    for (std::size_t p = begin; p < end; ++p) run_one(st, owned[p]);
-    emit_chunk_span(worker, t0, begin, end - begin);
-    after_chunk(begin, end);
-  };
-
-  if (!dynamic) {
-    auto run_shard = [&](std::size_t shard) {
-      WorkerState& st = ensure_state(shard);
-      const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-      std::size_t n = 0;
-      for (std::size_t p = shard; p < owned.size(); p += workers, ++n)
-        run_one(st, owned[p]);
-      if (n > 0) {
-        emit_chunk_span(shard, t0, shard, n);
-        after_chunk(shard, shard + n);  // one completion per shard
-      }
-    };
-    if (workers == 1) {
-      run_shard(0);
-    } else {
-      ThreadPool pool(workers);
-      parallel_for(pool, workers, run_shard);
-    }
-  } else if (workers == 1) {
-    for (std::size_t begin = 0; begin < owned.size();) {
-      const std::size_t step =
-          chunk > 0 ? chunk : guided_chunk(owned.size() - begin, 1);
-      const std::size_t end = std::min(owned.size(), begin + step);
-      run_range(0, begin, end);
-      begin = end;
-    }
-  } else {
-    ThreadPool pool(workers);
-    parallel_chunks(pool, owned.size(), chunk, run_range);
-  }
+  // The instances outlive the loop: `golden` refers into worker 0's.
+  const std::vector<core::Instance> instances =
+      run_per_worker(workers, owned.size(), std::move(ref),
+                     [&] { return core::make_instance(factory); }, run_chunk);
 
   for (const std::size_t r : owned) {
     result.outcomes.add(outcomes[r]);

@@ -54,12 +54,9 @@ struct BeamConfig : obs::RunContext {
   double flux_scale = 1.0;
   bool ecc = true;
   std::uint64_t seed = 0xbea3;
+  /// Runs pulled in guided chunks by this many workers; results are
+  /// bit-identical at any worker count.
   unsigned workers = 1;
-  /// Run distribution over workers (see fault::Schedule); results are
-  /// bit-identical under either policy and any worker count.
-  fault::Schedule schedule = fault::Schedule::Dynamic;
-  /// Runs per dynamically-scheduled chunk; 0 = guided self-scheduling.
-  unsigned chunk = 0;
   /// Multi-process sharding: this process executes the runs r of the full
   /// per-run seed chain with r % shard_count == shard_index, and the result
   /// reports that subset (runs = owned count). BeamResult::merge over all

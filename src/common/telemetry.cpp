@@ -6,6 +6,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace gpurel::telemetry {
 
 void append_json_string(std::string& out, std::string_view s) {
@@ -69,27 +71,48 @@ Sink::~Sink() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void Sink::emit(std::string_view event, std::initializer_list<Field> fields) {
+namespace {
+
+// JSONL event stream, schema owned by the event name + t_ms convention;
+// per-line schema_version would double the stream for no consumer.
+std::string event_head(std::string_view event, double t_ms) {
   std::string line;
-  line.reserve(64 + fields.size() * 24);
-  // JSONL event stream, schema owned by the event name + t_ms convention;
-  // per-line schema_version would double the stream for no consumer.
   // gpurel-lint: allow(schema-version) event-name-keyed JSONL, not a result doc
   line += "{\"event\":";
   append_json_string(line, event);
   line.push_back(',');
-  Field("t_ms", since_open_.elapsed_ms()).append_to(line);
-  for (const Field& f : fields) {
-    line.push_back(',');
-    f.append_to(line);
-  }
-  line += "}\n";
+  Field("t_ms", t_ms).append_to(line);
+  return line;
+}
+
+}  // namespace
+
+void Sink::write_line(const std::string& line) {
   {
     std::lock_guard lk(mu_);
     std::fwrite(line.data(), 1, line.size(), file_);
     std::fflush(file_);
   }
   emitted_.add();
+}
+
+void Sink::emit(std::string_view event, std::initializer_list<Field> fields) {
+  std::string line = event_head(event, since_open_.elapsed_ms());
+  for (const Field& f : fields) {
+    line.push_back(',');
+    f.append_to(line);
+  }
+  line += "}\n";
+  write_line(line);
+}
+
+void Sink::emit(std::string_view event, const json::Value& object) {
+  std::string line = event_head(event, since_open_.elapsed_ms());
+  const std::string body = object.dump();  // "{...}" in member order
+  if (body.size() > 2) line.push_back(',');
+  line.append(body, 1, std::string::npos);
+  line.push_back('\n');
+  write_line(line);
 }
 
 Sink* env_sink() {

@@ -30,6 +30,10 @@
 #include <string>
 #include <string_view>
 
+namespace gpurel::json {
+class Value;
+}
+
 namespace gpurel::telemetry {
 
 /// Monotonic stopwatch (steady_clock).
@@ -117,10 +121,16 @@ class Sink {
 
   /// Emit one event line: {"event":name,"t_ms":...,fields...}.
   void emit(std::string_view event, std::initializer_list<Field> fields);
+  /// Emit one event line whose fields are the members of a JSON object, in
+  /// order and in the canonical json::Value rendering — so a document type
+  /// that already owns its serializer is emitted verbatim, not re-listed.
+  void emit(std::string_view event, const json::Value& object);
 
   std::uint64_t events_emitted() const { return emitted_.value(); }
 
  private:
+  void write_line(const std::string& line);
+
   std::FILE* file_;
   std::mutex mu_;
   Timer since_open_;

@@ -21,8 +21,6 @@ struct PoolMetrics {
       "gpurel_threadpool_queue_depth_peak");
   obs::Counter& chunk_pulls = obs::Registry::global().counter(
       "gpurel_threadpool_chunk_pulls_total");
-  obs::Counter& index_pulls = obs::Registry::global().counter(
-      "gpurel_threadpool_index_pulls_total");
 };
 
 PoolMetrics& pool_metrics() {
@@ -118,60 +116,30 @@ class ErrorLatch {
 
 }  // namespace
 
-void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t)>& body) {
-  if (count == 0) return;
-  std::atomic<std::size_t> next{0};
-  ErrorLatch latch;
-
-  const std::size_t shards = std::min(count, pool.size());
-  for (std::size_t s = 0; s < shards; ++s) {
-    pool.submit([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        pool_metrics().index_pulls.add();
-        try {
-          body(i);
-        } catch (...) {
-          latch.capture();
-        }
-      }
-    });
-  }
-  pool.wait_idle();
-  latch.rethrow_if_set();
-}
-
 std::size_t guided_chunk(std::size_t remaining, std::size_t workers) {
   return std::clamp<std::size_t>(remaining / (4 * std::max<std::size_t>(1, workers)),
                                  1, 8);
 }
 
 void parallel_chunks(
-    ThreadPool& pool, std::size_t count, std::size_t chunk,
+    ThreadPool& pool, std::size_t count,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
   if (count == 0) return;
   std::atomic<std::size_t> next{0};
   ErrorLatch latch;
 
   // Claim the next half-open range off the shared cursor; empty when done.
-  // Guided sizes depend on the cursor, so the claim is a CAS; fixed sizes
-  // could use fetch_add but share the loop for simplicity.
+  // Guided sizes depend on the cursor, so the claim is a CAS.
   const auto claim = [&](std::size_t& begin, std::size_t& end) {
     begin = next.load(std::memory_order_relaxed);
     do {
       if (begin >= count) return false;
-      const std::size_t size =
-          chunk > 0 ? chunk : guided_chunk(count - begin, pool.size());
-      end = std::min(count, begin + size);
+      end = std::min(count, begin + guided_chunk(count - begin, pool.size()));
     } while (!next.compare_exchange_weak(begin, end, std::memory_order_relaxed));
     return true;
   };
 
-  const std::size_t pullers =
-      chunk > 0 ? std::min(pool.size(), (count + chunk - 1) / chunk)
-                : std::min(pool.size(), count);
+  const std::size_t pullers = std::min(pool.size(), count);
   for (std::size_t p = 0; p < pullers; ++p) {
     pool.submit([&, p] {
       std::size_t begin = 0, end = 0;

@@ -3,6 +3,7 @@
 // seeded per-index, so results are identical regardless of worker count.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -50,12 +51,6 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Run body(i) for i in [0, count) across the pool; blocks until done.
-/// Every index runs even if some throw; the first exception (in completion
-/// order) is rethrown after the loop finishes.
-void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t)>& body);
-
 /// Chunk size the guided self-scheduler hands to the next free puller:
 /// remaining/(4*workers), clamped to [1, 8]. Decreasing chunks keep the
 /// cursor cheap early on and balance stragglers (e.g. watchdog-timeout
@@ -63,17 +58,56 @@ void parallel_for(ThreadPool& pool, std::size_t count,
 /// bench_campaign_throughput) replay exactly what the runtime does.
 std::size_t guided_chunk(std::size_t remaining, std::size_t workers);
 
-/// Dynamically-scheduled chunked loop: up to pool.size() concurrent pullers
-/// grab half-open ranges [begin, end) from a shared atomic cursor and invoke
-/// body(puller, begin, end). chunk >= 1 fixes the range length; chunk == 0
-/// selects guided self-scheduling where each pull takes
-/// guided_chunk(remaining, pool.size()) indices. `puller` is a dense id in
-/// [0, pool.size()); each puller's calls are sequential, so per-puller state
-/// (e.g. a prepared workload) needs no synchronization. On an exception the
-/// first one wins, remaining chunks are abandoned, and the exception is
-/// rethrown after in-flight chunks finish. Blocks until done.
+/// Guided self-scheduled loop: up to pool.size() concurrent pullers grab
+/// half-open ranges [begin, end) of guided_chunk(remaining, pool.size())
+/// indices off a shared atomic cursor and invoke body(puller, begin, end).
+/// `puller` is a dense id in [0, pool.size()); each puller's calls are
+/// sequential, so per-puller state (e.g. a prepared workload) needs no
+/// synchronization. On an exception the first one wins, remaining chunks
+/// are abandoned, and the exception is rethrown after in-flight chunks
+/// finish. Blocks until done.
 void parallel_chunks(
-    ThreadPool& pool, std::size_t count, std::size_t chunk,
+    ThreadPool& pool, std::size_t count,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+
+/// The execution shape of fault campaigns and beam experiments: runs
+/// body(state, worker, begin, end) over [0, count) in guided chunks, each
+/// worker reusing one State (e.g. a prepared workload and its device) for
+/// every chunk it pulls. Worker 0 starts from `first`, the caller's already
+/// prepared reference; any other worker builds its own with make() on its
+/// first chunk. One worker runs the chunks inline on the calling thread,
+/// more go through parallel_chunks. Returns the per-worker states; a worker
+/// that pulled no chunk keeps a default-constructed State.
+template <class State, class Make, class Body>
+std::vector<State> run_per_worker(unsigned workers, std::size_t count,
+                                  State first, const Make& make,
+                                  const Body& body) {
+  const std::size_t n = std::max(1u, workers);
+  std::vector<State> states(n);
+  // One flag per worker, each written only by its own puller (a
+  // std::vector<bool> would pack them into shared words).
+  std::vector<unsigned char> ready(n, 0);
+  states[0] = std::move(first);
+  ready[0] = 1;
+  auto run = [&](std::size_t worker, std::size_t begin, std::size_t end) {
+    if (!ready[worker]) {
+      states[worker] = make();
+      ready[worker] = 1;
+    }
+    body(states[worker], worker, begin, end);
+  };
+  if (n == 1) {
+    for (std::size_t begin = 0; begin < count;) {
+      const std::size_t end =
+          std::min(count, begin + guided_chunk(count - begin, 1));
+      run(0, begin, end);
+      begin = end;
+    }
+  } else {
+    ThreadPool pool(n);
+    parallel_chunks(pool, count, run);
+  }
+  return states;
+}
 
 }  // namespace gpurel

@@ -256,30 +256,17 @@ std::optional<fault::CampaignResult> Study::run_injection(
   // bit-identically; per-trial seeding guarantees the recompute path matches.
   fault::InjectionBudget budget;
   budget.injections_per_kind = injections_per_kind;
-  if (aux_modes && injector.supports(fault::FaultModel::RegisterFile)) {
-    budget.rf_injections = config_.rf_injections;
-    budget.pred_injections = config_.pred_injections;
-    budget.ia_injections = config_.ia_injections;
-    budget.store_value_injections = config_.store_value_injections;
-    budget.store_addr_injections = config_.store_addr_injections;
-  } else {
-    budget.rf_injections = 0;
-    budget.pred_injections = 0;
-    budget.ia_injections = 0;
-    budget.store_value_injections = 0;
-    budget.store_addr_injections = 0;
+  // Architectural aux strata go to injectors supporting the aux modes; a
+  // micro-architectural stratum only to injectors that reach its class, so
+  // architectural (SASSIFI/NVBitFI) specs keep their budgets — and cache
+  // keys — byte-identical.
+  const bool aux =
+      aux_modes && injector.supports(fault::FaultModel::RegisterFile);
+  for (const fault::Stratum& s : fault::kStrata) {
+    const bool granted =
+        fault::is_microarch(s.cls) ? injector.reaches(s.cls) : aux;
+    budget.*s.budget = granted ? config_.*s.budget : 0;
   }
-  // Micro-architectural strata: granted only to injectors that reach the
-  // class, so architectural (SASSIFI/NVBitFI) specs keep their budgets — and
-  // cache keys — byte-identical.
-  if (injector.reaches(fault::SiteClass::Scheduler))
-    budget.sched_injections = config_.sched_injections;
-  if (injector.reaches(fault::SiteClass::Scoreboard))
-    budget.scoreboard_injections = config_.scoreboard_injections;
-  if (injector.reaches(fault::SiteClass::CtaBookkeeping))
-    budget.cta_injections = config_.cta_injections;
-  if (injector.reaches(fault::SiteClass::WarpControl))
-    budget.warp_control_injections = config_.warp_control_injections;
   const std::uint64_t seed =
       config_.seed * 131071 +
       std::hash<std::string>{}(injector.name() + entry.base) +
@@ -471,8 +458,9 @@ std::optional<Study::ReachSweep> Study::reach_sweep(const CodeEvaluation& ev) {
   }
   if (base == nullptr || !ev.microarch) return std::nullopt;
   const fault::CampaignResult& ma = *ev.microarch;
-  const std::uint64_t total_sites = ma.scheduler_sites + ma.scoreboard_sites +
-                                    ma.cta_sites + ma.warp_control_sites;
+  std::uint64_t total_sites = 0;
+  for (const fault::Stratum& s : fault::kStrata)
+    if (fault::is_microarch(s.cls)) total_sites += ma.*s.sites;
   if (total_sites == 0) return std::nullopt;
 
   ReachSweep sweep;
@@ -486,30 +474,17 @@ std::optional<Study::ReachSweep> Study::reach_sweep(const CodeEvaluation& ev) {
 
   double cum = base->due;
   sweep.levels.push_back({"architectural", std::nullopt, cum});
-  // Each level grants one more class: its contribution is the hidden DUE
-  // rate, split over the classes by static-site share, derated by the
-  // class's MicroArch-measured DUE AVF. Non-negative terms keep the sweep
-  // monotone, and the full-reach level stays <= base + hidden_due.
-  const struct {
-    const char* name;
-    fault::SiteClass cls;
-    std::uint64_t sites;
-    const fault::OutcomeCounts* counts;
-  } grants[] = {
-      {"+scheduler", fault::SiteClass::Scheduler, ma.scheduler_sites,
-       &ma.scheduler},
-      {"+scoreboards", fault::SiteClass::Scoreboard, ma.scoreboard_sites,
-       &ma.scoreboard},
-      {"+cta-bookkeeping", fault::SiteClass::CtaBookkeeping, ma.cta_sites,
-       &ma.cta},
-      {"+warp-control", fault::SiteClass::WarpControl, ma.warp_control_sites,
-       &ma.warp_control},
-  };
-  for (const auto& g : grants) {
-    const double share = static_cast<double>(g.sites) /
-                         static_cast<double>(total_sites);
-    cum += sweep.hidden_due * share * g.counts->avf_due();
-    sweep.levels.push_back({g.name, g.cls, cum});
+  // Each level grants one more class, in strata-table order: its
+  // contribution is the hidden DUE rate, split over the classes by
+  // static-site share, derated by the class's MicroArch-measured DUE AVF.
+  // Non-negative terms keep the sweep monotone, and the full-reach level
+  // stays <= base + hidden_due.
+  for (const fault::Stratum& s : fault::kStrata) {
+    if (!fault::is_microarch(s.cls)) continue;
+    const double share =
+        static_cast<double>(ma.*s.sites) / static_cast<double>(total_sites);
+    cum += sweep.hidden_due * share * (ma.*s.counts).avf_due();
+    sweep.levels.push_back({std::string(s.level), s.cls, cum});
   }
   return sweep;
 }

@@ -165,6 +165,15 @@ const sim::LaunchStats& Workload::golden_stats() const {
   return golden_stats_;
 }
 
+Instance make_instance(const WorkloadFactory& factory) {
+  Instance inst;
+  inst.w = factory();
+  if (!inst.w) throw std::invalid_argument("workload factory returned null");
+  inst.dev = std::make_unique<sim::Device>(inst.w->config().gpu);
+  inst.w->prepare(*inst.dev);
+  return inst;
+}
+
 void Workload::prepare(sim::Device& dev) {
   if (prepared_) return;
   build_programs();

@@ -257,4 +257,16 @@ class Workload {
   std::uint64_t last_restore_bytes_ = 0;
 };
 
+/// A prepared workload and the device it runs on: what one campaign or beam
+/// worker owns (see gpurel::run_per_worker).
+struct Instance {
+  std::unique_ptr<Workload> w;
+  std::unique_ptr<sim::Device> dev;
+};
+
+/// Build a workload with `factory` and prepare it on a fresh device of its
+/// configured GPU. Throws std::invalid_argument when the factory returns
+/// null.
+Instance make_instance(const WorkloadFactory& factory);
+
 }  // namespace gpurel::core

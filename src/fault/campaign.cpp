@@ -5,6 +5,8 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -355,67 +357,559 @@ SiteCounts count_prepared(const Injector& injector, core::Workload& w,
   return sites;
 }
 
-}  // namespace
-
-// Micro-architectural strata fold into the overall AVF weighted by their
-// static site counts (exactly zero mass on architectural campaigns, whose
-// numbers are therefore unchanged to the bit).
-namespace {
-struct Stratum {
-  const OutcomeCounts* counts;
-  std::uint64_t sites;
+/// Per-trial fault sampling draws, shared verbatim by the fork planner and
+/// the trial body so the RNG draw sequence stays byte-for-byte identical
+/// whether or not a trial is forked.
+struct TrialSample {
+  unsigned bit = 0;
+  unsigned ia_bit = 0;
+  unsigned rf_reg = 0;
+  std::uint64_t target_index = 0;
+  std::uint64_t fire_cycle = 0;  // micro-architectural trials only
 };
 
-std::array<Stratum, 5> aux_strata(const CampaignResult& r) {
-  return {{{&r.pred, r.pred_sites},
-           {&r.scheduler, r.scheduler_sites},
-           {&r.scoreboard, r.scoreboard_sites},
-           {&r.cta, r.cta_sites},
-           {&r.warp_control, r.warp_control_sites}}};
+/// Everything a campaign fixes before its first trial runs.
+struct CampaignPlan {
+  SiteCounts sites;
+  SiteSpace space;  // static site spaces of the micro-architectural classes
+  MicroArchLayout layout;
+  std::uint64_t golden_cycles = 0;
+  unsigned pc_bits = 0;
+  unsigned max_regs = 0;
+  std::vector<TrialDesc> trials;  // the full campaign, in salt-chain order
+  /// Requested and reached classes with no site in this workload: their
+  /// trials resolve as Masked at plan time.
+  std::array<bool, kSiteClasses> zero_site{};
+  std::vector<std::size_t> owned;  // this shard's trial ids
+  std::size_t skip = 0;            // owned positions the resume covers
+  // Fork batching (all empty when the campaign runs plain).
+  std::vector<std::uint64_t> marks;
+  std::vector<EpochSites> epochs;
+  std::vector<int> trial_epoch;  // by trial id; -1 = run from scratch
+
+  bool forking() const { return !trial_epoch.empty(); }
+  /// Positions [0, todo()) are the owned trials this process executes.
+  std::size_t todo() const { return owned.size() - skip; }
+  std::size_t trial_at(std::size_t p) const { return owned[skip + p]; }
+};
+
+TrialSample sample_trial(const CampaignPlan& plan, const TrialDesc& desc) {
+  Rng rng(desc.seed);
+  TrialSample s;
+  if (is_microarch(desc.cls)) {
+    // Micro-architectural trials address a static site plus a fire cycle
+    // drawn over the golden cycle count. Their seeds are fresh (the strata
+    // append after every architectural one), so this draw order is free —
+    // the architectural sequence below stays byte-for-byte fixed.
+    s.target_index = rng.uniform_u64(plan.space.of(desc.cls).sites());
+    s.fire_cycle =
+        rng.uniform_u64(std::max<std::uint64_t>(1, plan.golden_cycles));
+    return s;
+  }
+  s.bit = rng.next_u32();  // reduced modulo the destination width at fire time
+  s.ia_bit = static_cast<unsigned>(rng.uniform_u64(plan.pc_bits));
+  // max(1, regs): every trial draws rf_reg to keep the draw order fixed
+  // across modes; RF-mode trials on a zero-register workload were already
+  // rejected at plan time, so the clamp only ever pads non-RF draws.
+  s.rf_reg =
+      static_cast<unsigned>(rng.uniform_u64(std::max(1u, plan.max_regs)));
+  s.target_index =
+      rng.uniform_u64(class_sites(plan.sites, desc.cls, desc.kind));
+  return s;
 }
+
+/// Up to `epochs` snapshot marks evenly spaced over the golden run's
+/// cumulative lane-instruction count (trials are bit-identical until their
+/// injection fires, so that prefix is shared).
+std::vector<std::uint64_t> fork_marks(std::uint64_t total, unsigned epochs) {
+  std::vector<std::uint64_t> marks;
+  for (unsigned i = 1; i <= epochs; ++i) {
+    const std::uint64_t m =
+        total / (epochs + 1) * i + total % (epochs + 1) * i / (epochs + 1);
+    if (m == 0 || m >= total) continue;
+    if (!marks.empty() && marks.back() == m) continue;
+    marks.push_back(m);
+  }
+  return marks;
+}
+
+/// The trial list: stratified by instruction kind, then every other reached
+/// class the budget funds, in kStrata order. The micro-architectural rows
+/// come last, so the architectural salt chain — and with it every
+/// pre-existing trial seed — is byte-for-byte untouched by them.
+void plan_trials(const Injector& injector, const CampaignConfig& config,
+                 CampaignPlan& plan) {
+  std::uint64_t salt = config.seed;
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    if (plan.sites.per_kind[k] == 0) continue;
+    for (unsigned i = 0; i < config.injections_per_kind; ++i)
+      plan.trials.push_back({SiteClass::InstructionOutput,
+                             static_cast<UnitKind>(k), splitmix64(salt)});
+  }
+  for (const Stratum& s : kStrata) {
+    const unsigned n = config.*s.budget;
+    if (!injector.reaches(s.cls) || n == 0) continue;
+    // A requested, reached class with zero sites in this workload resolves
+    // as Masked at plan time (a strike on a unit the program never
+    // exercises corrupts nothing) — sampling a target from an empty range
+    // would reach Rng::uniform_u64(0), which is undefined.
+    const std::uint64_t sites =
+        is_microarch(s.cls) ? plan.space.of(s.cls).sites()
+                            : class_sites(plan.sites, s.cls, UnitKind::OTHER);
+    if (sites == 0) plan.zero_site[static_cast<std::size_t>(s.cls)] = true;
+    for (unsigned i = 0; i < n; ++i)
+      plan.trials.push_back({s.cls, UnitKind::OTHER, splitmix64(salt)});
+  }
+}
+
+/// Fork planning: bucket each owned trial by the deepest epoch whose prefix
+/// consumes only sites strictly before the trial's target, so the injection
+/// fires inside the resumed suffix. Micro-architectural trials are bucketed
+/// by simulated-time position instead: an epoch is valid when its boundary
+/// is at or before the fire cycle (advance windows are [from, to), so a
+/// fire exactly on the boundary still lands in the resumed suffix).
+void plan_fork_epochs(CampaignPlan& plan) {
+  plan.trial_epoch.assign(plan.trials.size(), -1);
+  const auto n = static_cast<int>(plan.epochs.size());
+  for (const std::size_t t : plan.owned) {
+    const TrialDesc& d = plan.trials[t];
+    if (plan.zero_site[static_cast<std::size_t>(d.cls)]) continue;
+    const TrialSample s = sample_trial(plan, d);
+    auto fires_after = [&](int e) {
+      const EpochSites& es = plan.epochs[static_cast<std::size_t>(e)];
+      return is_microarch(d.cls)
+                 ? es.cum_cycle <= s.fire_cycle
+                 : class_sites(es.at, d.cls, d.kind) <= s.target_index;
+    };
+    int e = -1;
+    while (e + 1 < n && fires_after(e + 1)) ++e;
+    plan.trial_epoch[t] = e;
+  }
+}
+
+/// Plan step: validate the configuration against the prepared reference
+/// instance, count sites (and per-epoch sites when forking), build the
+/// trial list, select this shard's trials and bucket them by fork epoch.
+CampaignPlan plan_campaign(const Injector& injector, core::Instance& ref,
+                           const CampaignConfig& config) {
+  core::Workload& w = *ref.w;
+  check_instrumentable(injector, w);
+  // RegisterFile trials flip one bit of a register sampled from
+  // [0, max_regs). A workload whose kernels use no registers has no RF
+  // state to strike; clamping the sample range to 1 would inject into a
+  // register the program does not own — always masked, silently diluting
+  // the reported RF AVF.
+  if (config.rf_injections > 0 && injector.supports(FaultModel::RegisterFile) &&
+      w.max_regs_per_thread() == 0)
+    throw std::invalid_argument(
+        "run_campaign: RegisterFile injections requested but " + w.name() +
+        " uses no architectural registers");
+
+  CampaignPlan plan;
+  if (config.fork_epochs > 0 && w.fork_safe())
+    plan.marks = fork_marks(w.golden_stats().lane_instructions,
+                            config.fork_epochs);
+  const bool forking = !plan.marks.empty();
+  // Site counts: one fault-free run — or the caller's precomputed counts,
+  // which skip it (bit-identical; see CampaignConfig::sites). Fork batching
+  // also needs the running counts at each mark, which only a counting run
+  // measures, so forking with caller-provided sites still counts once.
+  if (config.sites != nullptr) {
+    plan.sites = *config.sites;
+    if (forking)
+      count_prepared(injector, w, *ref.dev, &plan.marks, &plan.epochs);
+  } else {
+    plan.sites = count_prepared(injector, w, *ref.dev,
+                                forking ? &plan.marks : nullptr,
+                                forking ? &plan.epochs : nullptr);
+  }
+  plan.space = injector.enumerate_sites(w, w.config().gpu);
+  plan.layout = microarch_layout(w, w.config().gpu);
+  plan.golden_cycles = w.golden_stats().cycles;
+  plan.pc_bits = ia_pc_bits(w);
+  plan.max_regs = w.max_regs_per_thread();
+  plan_trials(injector, config, plan);
+
+  // Shard selection: every shard builds the identical full trial list and
+  // owns trials t with t % shard_count == shard_index. Outcome tallies
+  // cover only owned trials (site counts are per-campaign constants
+  // reported in full), so merging all shards reproduces the unsharded run.
+  if (config.shard_count == 0 || config.shard_index >= config.shard_count)
+    throw std::invalid_argument(
+        "run_campaign: shard_index must be < shard_count (>= 1)");
+  for (std::size_t t = config.shard_index; t < plan.trials.size();
+       t += config.shard_count)
+    plan.owned.push_back(t);
+  if (config.resume != nullptr) {
+    if (config.resume->trials_done > plan.owned.size())
+      throw std::invalid_argument(
+          "run_campaign: checkpoint covers more trials than this shard owns");
+    if (config.propagation)
+      throw std::invalid_argument(
+          "run_campaign: propagation provenance cannot resume from a "
+          "checkpoint (the skipped prefix has no per-trial records)");
+    plan.skip = static_cast<std::size_t>(config.resume->trials_done);
+  }
+  // A missed mark disables forking, not trials (defensive).
+  if (forking && plan.epochs.size() == plan.marks.size())
+    plan_fork_epochs(plan);
+  return plan;
+}
+
+/// The per-campaign header of a result: identity and site counts, no
+/// tallies yet.
+CampaignResult result_header(const Injector& injector, const core::Workload& w,
+                             const CampaignPlan& plan) {
+  CampaignResult r;
+  r.injector = injector.name();
+  r.workload = w.name();
+  r.pred_sites = plan.sites.pred;
+  r.store_sites = plan.sites.stores;
+  r.total_lane_sites = plan.sites.total_lane;
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    r.per_kind[k].dynamic_sites = plan.sites.per_kind[k];
+    r.eligible_output_sites += plan.sites.per_kind[k];
+  }
+  for (const Stratum& s : kStrata)
+    if (is_microarch(s.cls)) r.*s.sites = plan.space.of(s.cls).sites();
+  return r;
+}
+
+/// Per-trial results, indexed by global trial id (sparse under sharding, so
+/// trial_cycles_out keeps its documented indexing). Each slot is written by
+/// whichever worker ran the trial and tallied serially afterwards, which is
+/// what makes results bit-identical for any worker count.
+struct TrialRecords {
+  std::vector<core::Outcome> outcomes;
+  std::vector<core::DueCause> causes;
+  std::vector<std::uint64_t> cycles;           // with trial_cycles_out only
+  std::vector<obs::PropagationRecord> props;   // with propagation only
+};
+
+/// Tally step: fold the outcomes of owned positions [p_begin, p_end) into
+/// `res`. Shared by the final result and the checkpoints, so both agree by
+/// construction.
+void tally(const CampaignPlan& plan, const TrialRecords& rec,
+           CampaignResult& res, std::size_t p_begin, std::size_t p_end) {
+  for (std::size_t p = p_begin; p < p_end; ++p) {
+    const std::size_t t = plan.trial_at(p);
+    const TrialDesc& d = plan.trials[t];
+    OutcomeCounts& c =
+        d.cls == SiteClass::InstructionOutput
+            ? res.per_kind[static_cast<std::size_t>(d.kind)].counts
+            : res.*stratum(d.cls).counts;
+    c.add(rec.outcomes[t]);
+    res.due_causes.add(rec.causes[t]);
+  }
+}
+
+/// Stamp the terminal-event fields the workload owns (outcome, DUE cause,
+/// SDC corruption geometry) onto a provenance record.
+void stamp_terminal(obs::PropagationRecord& rec, const core::TrialResult& r,
+                    core::Instance& inst) {
+  rec.outcome = std::string(core::outcome_name(r.outcome));
+  if (r.outcome == core::Outcome::Due) {
+    rec.due = std::string(sim::due_kind_name(r.due));
+    rec.due_cause = std::string(core::due_cause_name(r.cause));
+  } else if (r.outcome == core::Outcome::Sdc) {
+    // Outputs are still on the device here (the next trial resets it), so
+    // the corruption footprint can be diffed against the golden copy.
+    const core::Workload::OutputGeometry g = inst.w->output_geometry();
+    const std::vector<std::uint64_t> bad =
+        inst.w->corrupted_elements(*inst.dev);
+    rec.output_rows = g.rows;
+    rec.output_cols = g.cols;
+    rec.corrupted_elems = bad.size();
+    rec.geometry = std::string(obs::sdc_geometry_name(
+        obs::classify_sdc_geometry(bad, g.rows, g.cols)));
+  }
+}
+
+/// Execute step, one trial at a time: build the trial's observer, fork it
+/// from its epoch snapshot or run it plain, then record the result.
+struct TrialBody {
+  const Injector& injector;
+  const CampaignPlan& plan;
+  const std::vector<sim::Snapshot>& snaps;  // the shared snapshot set
+  bool propagation;
+  TrialRecords& rec;
+  obs::Counter& m_trials = obs::Registry::global().counter(
+      "gpurel_campaign_trials_total");
+  obs::Histogram& m_latency = obs::Registry::global().histogram(
+      "gpurel_campaign_trial_latency_ms");
+  obs::Counter& m_restore_bytes = obs::Registry::global().counter(
+      "gpurel_campaign_snapshot_restore_bytes_total");
+
+  void run(core::Instance& inst, std::size_t t) const;
+};
+
+void TrialBody::run(core::Instance& inst, std::size_t t) const {
+  const TrialDesc& desc = plan.trials[t];
+  const std::string model(site_class_name(desc.cls));
+  if (plan.zero_site[static_cast<std::size_t>(desc.cls)]) {
+    // Resolved at plan time: no reachable site, so the fault is masked by
+    // definition — no RNG draws, no simulation (the record slots already
+    // hold Masked and zero cycles).
+    if (propagation) {
+      obs::PropagationRecord& r = rec.props[t];
+      r.trial = t;
+      r.model = model;
+      r.fired = false;
+      r.outcome = "Masked";
+    }
+    m_trials.add();
+    return;
+  }
+  const TrialSample sample = sample_trial(plan, desc);
+  const int epoch = plan.forking() ? plan.trial_epoch[t] : -1;
+  const telemetry::Timer trial_wall;
+
+  // The observer. A micro-architectural strike hits machine state, not an
+  // instruction site, so it gets no taint tracker (there is no instruction
+  // provenance to seed). An instruction-site injection may tee the tracker
+  // behind it: injection first (so the tracker sees post-injection register
+  // state), tracker second. Both claim only hooks the injection path
+  // already claims, so the executor's dispatch — and every outcome — is
+  // unchanged.
+  std::optional<MicroArchObserver> march;
+  InjectionObserver inj;
+  obs::PropagationObserver prop;
+  sim::TeeObserver tee(&inj, &prop);
+  sim::SimObserver* observer = &inj;
+  if (is_microarch(desc.cls)) {
+    observer = &march.emplace(plan.layout, desc.cls, sample.target_index,
+                              sample.fire_cycle);
+  } else {
+    inj.mode = fault_model_of(desc.cls);
+    inj.inj = &injector;
+    inj.bit = sample.bit;
+    inj.ia_bit = sample.ia_bit;
+    inj.rf_reg = sample.rf_reg;
+    inj.target_kind = desc.kind;  // meaningful for IOV; ignored otherwise
+    inj.target_index = sample.target_index;
+    if (propagation) {
+      prop.begin_trial(t, model);
+      inj.prop = &prop;
+      observer = &tee;
+    }
+  }
+
+  // Fork or run plain. A forked trial's observer is preset to the
+  // fault-free prefix it skips: the site count (or, for a strike, the
+  // cycle base) and the tracker's lane-instruction clock.
+  core::TrialResult r;
+  if (epoch >= 0) {
+    const auto e = static_cast<std::size_t>(epoch);
+    if (march) {
+      march->preset_cycle_base(snaps[e].prior.cycles);
+    } else {
+      const SiteCounts& at = plan.epochs[e].at;
+      inj.preset_counts(class_sites(at, desc.cls, desc.kind));
+      if (propagation) prop.preset_lane_count(at.total_lane);
+    }
+    r = inst.w->run_trial_forked(*inst.dev, snaps[e], observer, /*delta=*/true);
+    m_restore_bytes.add(inst.w->last_restore_bytes());
+  } else {
+    r = inst.w->run_trial(*inst.dev, observer);
+  }
+  m_latency.observe(trial_wall.elapsed_ms());
+  m_trials.add();
+
+  // Record.
+  rec.outcomes[t] = r.outcome;
+  rec.causes[t] = r.cause;
+  if (!rec.cycles.empty()) rec.cycles[t] = r.stats.cycles;
+  if (!propagation) return;
+  obs::PropagationRecord p;
+  if (march) {
+    p.trial = t;
+    p.model = model;
+    p.fired = march->fired();
+    p.effect = march->effect();
+    p.bit = march->site().bit;
+    p.cycle = march->fired() ? sample.fire_cycle : 0;
+  } else {
+    p = prop.finish();
+  }
+  stamp_terminal(p, r, inst);
+  rec.props[t] = std::move(p);
+}
+
+/// Checkpoint bookkeeping: chunks complete out of order, so completed
+/// position ranges are coalesced into a contiguous frontier, and a
+/// checkpoint covers exactly the frontier prefix. Thread-safe.
+class CheckpointFrontier {
+ public:
+  CheckpointFrontier(const CampaignConfig& config, const CampaignPlan& plan,
+                     const TrialRecords& rec, const CampaignResult& header)
+      : config_(config), plan_(plan), rec_(rec), header_(header),
+        emitted_at_(plan.skip) {}
+
+  void complete(std::size_t begin, std::size_t end) {
+    if (config_.checkpoint_every == 0 || !config_.on_checkpoint) return;
+    const std::lock_guard<std::mutex> lock(mu_);
+    ranges_[begin] = end;
+    for (auto it = ranges_.find(frontier_); it != ranges_.end();
+         it = ranges_.find(frontier_)) {
+      frontier_ = it->second;
+      ranges_.erase(it);
+    }
+    const std::uint64_t done = plan_.skip + frontier_;
+    if (done < emitted_at_ + config_.checkpoint_every) return;
+    if (done >= plan_.owned.size()) return;  // the final result supersedes it
+    CampaignCheckpoint ck;
+    ck.trials_done = done;
+    ck.partial =
+        config_.resume != nullptr ? config_.resume->partial : header_;
+    tally(plan_, rec_, ck.partial, 0, frontier_);
+    emitted_at_ = done;
+    config_.on_checkpoint(ck);
+  }
+
+ private:
+  const CampaignConfig& config_;
+  const CampaignPlan& plan_;
+  const TrialRecords& rec_;
+  const CampaignResult& header_;
+  std::mutex mu_;
+  std::map<std::size_t, std::size_t> ranges_;  // completed [begin, end)
+  std::size_t frontier_ = 0;
+  std::uint64_t emitted_at_;
+};
+
+/// Positions [begin, end) in execution order. Under forking they are
+/// grouped by fork epoch (stably, so same-epoch trials keep position order)
+/// so consecutive trials resume from a hot snapshot — the delta fast path
+/// only fires for back-to-back trials on the same snapshot. Per-trial
+/// seeding makes every outcome independent of execution order.
+std::vector<std::size_t> chunk_order(const CampaignPlan& plan,
+                                     std::size_t begin, std::size_t end) {
+  std::vector<std::size_t> ps(end - begin);
+  std::iota(ps.begin(), ps.end(), begin);
+  if (plan.forking())
+    std::stable_sort(ps.begin(), ps.end(), [&](std::size_t a, std::size_t b) {
+      return plan.trial_epoch[plan.trial_at(a)] <
+             plan.trial_epoch[plan.trial_at(b)];
+    });
+  return ps;
+}
+
+/// The shared snapshot set: the fault-free prefix captured ONCE, on the
+/// reference instance, before dispatch; every worker reads the same
+/// immutable snapshots, so no synchronization is needed. Empty when no
+/// executed trial forks.
+std::vector<sim::Snapshot> capture_shared_snapshots(const CampaignPlan& plan,
+                                                    core::Instance& ref,
+                                                    const std::string& workload,
+                                                    telemetry::Sink* sink) {
+  std::vector<sim::Snapshot> snaps;
+  bool any_fork = false;
+  for (std::size_t p = 0; p < plan.todo() && plan.forking() && !any_fork; ++p)
+    any_fork = plan.trial_epoch[plan.trial_at(p)] >= 0;
+  if (!any_fork) return snaps;
+  ref.w->capture_prefix(*ref.dev, plan.marks, snaps);
+  std::uint64_t bytes = 0;
+  for (const sim::Snapshot& s : snaps) bytes += s.memory.size();
+  obs::Registry::global().counter("gpurel_campaign_snapshots_total")
+      .add(snaps.size());
+  // One capture pass = one event; the ci.sh fork leg asserts exactly one
+  // per campaign regardless of worker count.
+  if (sink != nullptr)
+    sink->emit("campaign_snapshot_capture", {{"workload", workload},
+                                             {"epochs", snaps.size()},
+                                             {"image_bytes", bytes}});
+  return snaps;
+}
+
+/// Snapshot-pool footprint: the bytes retained for fork batching — the
+/// shared snapshot images plus every worker's delta-tracking dirty scratch.
+/// set_max keeps the high-water mark across campaigns in one process.
+void record_pool_bytes(const std::vector<sim::Snapshot>& snaps,
+                       const std::vector<core::Instance>& instances) {
+  std::uint64_t pool_bytes = 0;
+  for (const sim::Snapshot& s : snaps) pool_bytes += s.memory.size();
+  for (const core::Instance& inst : instances)
+    if (inst.dev) pool_bytes += inst.dev->memory().dirty_scratch_bytes();
+  obs::Registry::global()
+      .gauge("gpurel_campaign_snapshot_pool_bytes")
+      .set_max(static_cast<double>(pool_bytes));
+}
+
+/// Registry snapshot of one campaign's outcomes and injection-site coverage
+/// (counters accumulate across campaigns in one process).
+void record_outcome_metrics(const CampaignResult& result) {
+  auto& metrics = obs::Registry::global();
+  auto count_outcomes = [&](std::string_view model, const std::string& kind,
+                            const OutcomeCounts& c) {
+    auto bump = [&](const char* outcome, std::uint64_t n) {
+      if (n > 0)
+        metrics
+            .counter("gpurel_campaign_outcomes_total",
+                     {{"model", std::string(model)},
+                      {"kind", kind},
+                      {"outcome", outcome}})
+            .add(n);
+    };
+    bump("masked", c.masked);
+    bump("sdc", c.sdc);
+    bump("due", c.due);
+  };
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    const KindStats& ks = result.per_kind[k];
+    const std::string kind(isa::unit_kind_name(static_cast<UnitKind>(k)));
+    count_outcomes("output", kind, ks.counts);
+    if (ks.dynamic_sites > 0) {
+      metrics.gauge("gpurel_campaign_dynamic_sites", {{"kind", kind}})
+          .set(static_cast<double>(ks.dynamic_sites));
+      metrics.gauge("gpurel_campaign_site_coverage", {{"kind", kind}})
+          .set(static_cast<double>(ks.counts.total()) /
+               static_cast<double>(ks.dynamic_sites));
+    }
+  }
+  for (const Stratum& s : kStrata)
+    count_outcomes(s.label, "all", result.*s.counts);
+}
+
+/// Numerator and denominator of a site-weighted AVF over every exercised
+/// weighted stratum: the per-kind instruction-output strata, then the
+/// weighted kStrata rows. Micro-architectural strata carry exactly zero
+/// mass on architectural campaigns, whose numbers are therefore unchanged
+/// to the bit.
+struct WeightedAvf {
+  double num = 0;
+  double den = 0;
+};
+
+WeightedAvf weighted_avf(const CampaignResult& r,
+                         double (OutcomeCounts::*avf)() const) {
+  WeightedAvf w;
+  auto add = [&](const OutcomeCounts& c, std::uint64_t sites) {
+    w.num += static_cast<double>(sites) * (c.*avf)();
+    w.den += static_cast<double>(sites);
+  };
+  for (const KindStats& k : r.per_kind)
+    if (k.counts.total() > 0) add(k.counts, k.dynamic_sites);
+  for (const Stratum& s : kStrata)
+    if (s.weighted && (r.*s.counts).total() > 0 && r.*s.sites > 0)
+      add(r.*s.counts, r.*s.sites);
+  return w;
+}
+
 }  // namespace
 
 double CampaignResult::overall_avf_sdc() const {
-  double num = 0, den = 0;
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    if (per_kind[k].counts.total() == 0) continue;
-    num += static_cast<double>(per_kind[k].dynamic_sites) *
-           per_kind[k].counts.avf_sdc();
-    den += static_cast<double>(per_kind[k].dynamic_sites);
-  }
-  for (const Stratum& s : aux_strata(*this)) {
-    if (s.counts->total() == 0 || s.sites == 0) continue;
-    num += static_cast<double>(s.sites) * s.counts->avf_sdc();
-    den += static_cast<double>(s.sites);
-  }
-  return den > 0 ? num / den : 0.0;
+  const WeightedAvf w = weighted_avf(*this, &OutcomeCounts::avf_sdc);
+  return w.den > 0 ? w.num / w.den : 0.0;
 }
 
 double CampaignResult::overall_avf_due() const {
-  double num = 0, den = 0;
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    if (per_kind[k].counts.total() == 0) continue;
-    num += static_cast<double>(per_kind[k].dynamic_sites) *
-           per_kind[k].counts.avf_due();
-    den += static_cast<double>(per_kind[k].dynamic_sites);
-  }
-  for (const Stratum& s : aux_strata(*this)) {
-    if (s.counts->total() == 0 || s.sites == 0) continue;
-    num += static_cast<double>(s.sites) * s.counts->avf_due();
-    den += static_cast<double>(s.sites);
-  }
-  return den > 0 ? num / den : 0.0;
+  const WeightedAvf w = weighted_avf(*this, &OutcomeCounts::avf_due);
+  return w.den > 0 ? w.num / w.den : 0.0;
 }
 
 double CampaignResult::overall_masked() const {
-  double den = 0;
-  for (std::size_t k = 0; k < kKinds; ++k)
-    if (per_kind[k].counts.total() > 0)
-      den += static_cast<double>(per_kind[k].dynamic_sites);
-  for (const Stratum& s : aux_strata(*this))
-    if (s.counts->total() > 0 && s.sites > 0)
-      den += static_cast<double>(s.sites);
-  if (den <= 0) return 0.0;  // nothing injected: no masked mass either
+  if (weighted_avf(*this, &OutcomeCounts::avf_sdc).den <= 0)
+    return 0.0;  // nothing injected: no masked mass either
   return 1.0 - overall_avf_sdc() - overall_avf_due();
 }
 
@@ -429,10 +923,8 @@ unsigned ia_pc_bits(const core::Workload& w) {
 }
 
 std::uint64_t CampaignResult::total_injections() const {
-  std::uint64_t t = rf.total() + pred.total() + ia.total() +
-                    store_value.total() + store_addr.total() +
-                    scheduler.total() + scoreboard.total() + cta.total() +
-                    warp_control.total();
+  std::uint64_t t = 0;
+  for (const Stratum& s : kStrata) t += (this->*s.counts).total();
   for (const auto& k : per_kind) t += k.counts.total();
   return t;
 }
@@ -445,29 +937,16 @@ void CampaignResult::merge(const CampaignResult& other) {
   };
   if (injector != other.injector) mismatch("injector");
   if (workload != other.workload) mismatch("workload");
-  if (pred_sites != other.pred_sites || store_sites != other.store_sites ||
-      total_lane_sites != other.total_lane_sites ||
-      eligible_output_sites != other.eligible_output_sites)
+  if (eligible_output_sites != other.eligible_output_sites)
     mismatch("site count");
-  if (scheduler_sites != other.scheduler_sites ||
-      scoreboard_sites != other.scoreboard_sites ||
-      cta_sites != other.cta_sites ||
-      warp_control_sites != other.warp_control_sites)
-    mismatch("micro-architectural site count");
+  for (const Stratum& s : kStrata)
+    if (this->*s.sites != other.*s.sites) mismatch("site count");
   for (std::size_t k = 0; k < per_kind.size(); ++k)
     if (per_kind[k].dynamic_sites != other.per_kind[k].dynamic_sites)
       mismatch("per-kind dynamic sites");
   for (std::size_t k = 0; k < per_kind.size(); ++k)
     per_kind[k].counts.merge(other.per_kind[k].counts);
-  rf.merge(other.rf);
-  pred.merge(other.pred);
-  ia.merge(other.ia);
-  store_value.merge(other.store_value);
-  store_addr.merge(other.store_addr);
-  scheduler.merge(other.scheduler);
-  scoreboard.merge(other.scoreboard);
-  cta.merge(other.cta);
-  warp_control.merge(other.warp_control);
+  for (const Stratum& s : kStrata) (this->*s.counts).merge(other.*s.counts);
   due_causes.merge(other.due_causes);
   if (other.propagation.has_value()) {
     if (propagation.has_value())
@@ -478,532 +957,72 @@ void CampaignResult::merge(const CampaignResult& other) {
 }
 
 SiteCounts count_sites(const Injector& injector, const WorkloadFactory& factory) {
-  auto w = factory();
-  if (!w) throw std::invalid_argument("count_sites: factory returned null");
-  sim::Device dev(w->config().gpu);
-  w->prepare(dev);
-  check_instrumentable(injector, *w);
-  return count_prepared(injector, *w, dev);
+  core::Instance inst = core::make_instance(factory);
+  check_instrumentable(injector, *inst.w);
+  return count_prepared(injector, *inst.w, *inst.dev);
 }
 
 CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& factory,
                             const CampaignConfig& config) {
-  // Reference instance: prepare, check instrumentability.
-  auto ref = factory();
-  if (!ref) throw std::invalid_argument("run_campaign: factory returned null");
-  auto ref_dev = std::make_unique<sim::Device>(ref->config().gpu);
-  ref->prepare(*ref_dev);
-  check_instrumentable(injector, *ref);
-
-  // Plan-time validation: RegisterFile trials flip one bit of a register
-  // sampled from [0, max_regs). A workload whose kernels use no registers
-  // has no RF state to strike; silently clamping the sample range to 1 (the
-  // old behaviour) injected into a register the program does not own —
-  // always masked, silently diluting the reported RF AVF.
-  if (config.rf_injections > 0 && injector.supports(FaultModel::RegisterFile) &&
-      ref->max_regs_per_thread() == 0)
-    throw std::invalid_argument(
-        "run_campaign: RegisterFile injections requested but " + ref->name() +
-        " uses no architectural registers");
-
-  // Checkpoint-fork batching: place up to fork_epochs snapshot marks evenly
-  // over the trial's cumulative lane-instruction count (golden run; trials
-  // are bit-identical until their injection fires, so the prefix is shared).
-  bool forking = config.fork_epochs > 0 && ref->fork_safe();
-  std::vector<std::uint64_t> marks;
-  if (forking) {
-    const std::uint64_t total = ref->golden_stats().lane_instructions;
-    for (unsigned i = 1; i <= config.fork_epochs; ++i) {
-      const std::uint64_t m = total / (config.fork_epochs + 1) * i +
-                              total % (config.fork_epochs + 1) * i /
-                                  (config.fork_epochs + 1);
-      if (m == 0 || m >= total) continue;
-      if (!marks.empty() && marks.back() == m) continue;
-      marks.push_back(m);
-    }
-    if (marks.empty()) forking = false;
-  }
-
-  // Site counts: one fault-free run — or the caller's precomputed counts,
-  // which skip it entirely (bit-identical; see CampaignConfig::sites). Fork
-  // batching additionally needs the running per-mode counts at each mark,
-  // which only a counting run can measure, so with caller-provided sites and
-  // forking enabled a counting run still happens (for the epochs alone).
-  std::vector<EpochSites> epochs;
-  const SiteCounts sites =
-      config.sites != nullptr
-          ? *config.sites
-          : count_prepared(injector, *ref, *ref_dev, forking ? &marks : nullptr,
-                           forking ? &epochs : nullptr);
-  if (forking && config.sites != nullptr)
-    count_prepared(injector, *ref, *ref_dev, &marks, &epochs);
-  if (forking && epochs.size() != marks.size())
-    forking = false;  // defensive: a missed mark disables forking, not trials
-
-  // The injector's reach descriptor: static site spaces of the
-  // micro-architectural classes it can strike (empty for the SASS-level
-  // injectors, whose reach is purely architectural/dynamic).
-  const SiteSpace space = injector.enumerate_sites(*ref, ref->config().gpu);
-  const MicroArchLayout layout = microarch_layout(*ref, ref->config().gpu);
-  const std::uint64_t golden_cycles = ref->golden_stats().cycles;
-
-  CampaignResult result;
-  result.injector = injector.name();
-  result.workload = ref->name();
-  result.pred_sites = sites.pred;
-  result.store_sites = sites.stores;
-  result.total_lane_sites = sites.total_lane;
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    result.per_kind[k].dynamic_sites = sites.per_kind[k];
-    result.eligible_output_sites += sites.per_kind[k];
-  }
-  result.scheduler_sites = space.of(SiteClass::Scheduler).sites();
-  result.scoreboard_sites = space.of(SiteClass::Scoreboard).sites();
-  result.cta_sites = space.of(SiteClass::CtaBookkeeping).sites();
-  result.warp_control_sites = space.of(SiteClass::WarpControl).sites();
-
-  // Build the trial list (stratified by kind, plus every other reached
-  // class the budget funds).
-  std::vector<TrialDesc> trials;
-  std::uint64_t salt = config.seed;
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    if (sites.per_kind[k] == 0) continue;
-    for (unsigned i = 0; i < config.injections_per_kind; ++i)
-      trials.push_back({SiteClass::InstructionOutput, static_cast<UnitKind>(k),
-                        splitmix64(salt)});
-  }
-  // A class that was requested and is reached but has zero sites in this
-  // workload gets its trials resolved as Masked at plan time (a strike on a
-  // unit the program never exercises corrupts nothing), with a telemetry
-  // warning. The old path silently dropped the trials — and had it run
-  // them, sampling a target from an empty range would have reached
-  // Rng::uniform_u64(0), which is undefined.
-  std::array<bool, kSiteClasses> zero_site_class{};
-  auto add_stratum = [&](SiteClass cls, unsigned n) {
-    if (!injector.reaches(cls) || n == 0) return;
-    const std::uint64_t cls_sites =
-        is_microarch(cls) ? space.of(cls).sites()
-                          : class_sites(sites, cls, UnitKind::OTHER);
-    if (cls_sites == 0) zero_site_class[static_cast<std::size_t>(cls)] = true;
-    for (unsigned i = 0; i < n; ++i)
-      trials.push_back({cls, UnitKind::OTHER, splitmix64(salt)});
-  };
-  add_stratum(SiteClass::RegisterFile, config.rf_injections);
-  add_stratum(SiteClass::Predicate, config.pred_injections);
-  add_stratum(SiteClass::InstructionAddress, config.ia_injections);
-  add_stratum(SiteClass::StoreValue, config.store_value_injections);
-  add_stratum(SiteClass::StoreAddress, config.store_addr_injections);
-  // Micro-architectural strata ride strictly after the architectural ones so
-  // the architectural salt chain — and with it every pre-existing trial
-  // seed — is byte-for-byte untouched.
-  add_stratum(SiteClass::Scheduler, config.sched_injections);
-  add_stratum(SiteClass::Scoreboard, config.scoreboard_injections);
-  add_stratum(SiteClass::CtaBookkeeping, config.cta_injections);
-  add_stratum(SiteClass::WarpControl, config.warp_control_injections);
-
-  // Shard selection: every shard builds the identical full trial list above
-  // and then owns trials t with t % shard_count == shard_index. Outcome
-  // tallies cover only owned trials (site counts are per-campaign constants
-  // reported in full), so merging all shards reproduces the unsharded run.
-  if (config.shard_count == 0 || config.shard_index >= config.shard_count)
-    throw std::invalid_argument(
-        "run_campaign: shard_index must be < shard_count (>= 1)");
-  std::vector<std::size_t> owned;
-  owned.reserve(trials.size() / config.shard_count + 1);
-  for (std::size_t t = config.shard_index; t < trials.size();
-       t += config.shard_count)
-    owned.push_back(t);
-
-  const bool checkpointing =
-      config.checkpoint_every > 0 && static_cast<bool>(config.on_checkpoint);
-  if (checkpointing && config.schedule != Schedule::Dynamic)
-    throw std::invalid_argument(
-        "run_campaign: checkpointing requires Schedule::Dynamic");
-  if (config.resume != nullptr && config.resume->trials_done > owned.size())
-    throw std::invalid_argument(
-        "run_campaign: checkpoint covers more trials than this shard owns");
-  const bool propagation = config.propagation;
-  if (propagation && config.resume != nullptr)
-    throw std::invalid_argument(
-        "run_campaign: propagation provenance cannot resume from a checkpoint "
-        "(the skipped prefix has no per-trial records)");
-  // Positions [0, skip) of the owned order are already accounted for by the
-  // resume checkpoint; this process executes positions [skip, owned.size()),
-  // remapped below to start at 0 so the schedulers see a dense range.
-  const std::size_t skip = config.resume != nullptr
-                               ? static_cast<std::size_t>(config.resume->trials_done)
-                               : 0;
-  const std::size_t todo = owned.size() - skip;
-
-  // Execute trials. Each worker lazily prepares one workload instance and
-  // reuses it across every trial it pulls (prepare() is idempotent and
-  // run_trial() resets device memory); worker 0 inherits the already
-  // prepared reference instance. Per-trial outcomes land in a vector indexed
-  // by trial id and are tallied serially afterwards, so the result is
-  // bit-identical for any worker count, chunk size, or schedule.
+  core::Instance ref = core::make_instance(factory);
+  const CampaignPlan plan = plan_campaign(injector, ref, config);
+  const CampaignResult header = result_header(injector, *ref.w, plan);
+  const std::size_t todo = plan.todo();
   const unsigned workers = std::max(1u, config.workers);
-  const std::size_t chunk = config.chunk;  // 0 = guided (see guided_chunk)
-  const unsigned pc_bits = ia_pc_bits(*ref);
 
   telemetry::Sink* sink = telemetry::resolve(config.telemetry);
   obs::TraceWriter* trace = obs::resolve_trace(config.trace);
   if (trace != nullptr)
     trace->name_process(obs::kWallPid, "gpurel runtime (wall clock)");
-  auto& metrics = obs::Registry::global();
-  obs::Counter& m_trials = metrics.counter("gpurel_campaign_trials_total");
-  obs::Histogram& m_latency =
-      metrics.histogram("gpurel_campaign_trial_latency_ms");
-  obs::Counter& m_restore_bytes =
-      metrics.counter("gpurel_campaign_snapshot_restore_bytes_total");
   telemetry::Timer wall;
-  const bool dynamic = config.schedule == Schedule::Dynamic;
-  if (sink != nullptr)
+  if (sink != nullptr) {
     sink->emit("campaign_start",
-               {{"injector", result.injector},
-                {"workload", result.workload},
+               {{"injector", header.injector},
+                {"workload", header.workload},
                 {"trials", todo},
                 {"workers", workers},
-                {"chunk", dynamic ? chunk : std::size_t{0}},
-                {"schedule", dynamic ? "dynamic" : "static"},
-                {"ia_pc_bits", pc_bits},
+                {"ia_pc_bits", plan.pc_bits},
                 {"shard_index", config.shard_index},
                 {"shard_count", config.shard_count},
-                {"resumed_trials", std::uint64_t{skip}},
-                {"fork_epochs", forking ? marks.size() : std::size_t{0}},
-                {"fork_delta", forking && config.fork_delta},
-                {"fork_shared_pool", forking && config.fork_shared_pool}});
-  if (sink != nullptr)
-    for (std::size_t m = 0; m < zero_site_class.size(); ++m)
-      if (zero_site_class[m])
+                {"resumed_trials", std::uint64_t{plan.skip}},
+                {"fork_epochs", plan.forking() ? plan.marks.size()
+                                               : std::size_t{0}}});
+    for (std::size_t c = 0; c < kSiteClasses; ++c)
+      if (plan.zero_site[c])
         sink->emit("campaign_zero_site_mode",
-                   {{"injector", result.injector},
-                    {"workload", result.workload},
-                    {"model",
-                     std::string(site_class_name(static_cast<SiteClass>(m)))},
+                   {{"injector", header.injector},
+                    {"workload", header.workload},
+                    {"model", site_class_name(static_cast<SiteClass>(c))},
                     {"resolution", "masked"}});
-  telemetry::Progress progress(config.progress, "campaign " + result.workload,
+  }
+
+  const std::vector<sim::Snapshot> snaps =
+      capture_shared_snapshots(plan, ref, header.workload, sink);
+
+  // Execute step.
+  TrialRecords rec;
+  rec.outcomes.assign(plan.trials.size(), core::Outcome::Masked);
+  rec.causes.assign(plan.trials.size(), core::DueCause::None);
+  if (config.trial_cycles_out != nullptr)
+    rec.cycles.assign(plan.trials.size(), 0);
+  if (config.propagation) rec.props.resize(plan.trials.size());
+  const TrialBody body{injector, plan, snaps, config.propagation, rec};
+  CheckpointFrontier frontier(config, plan, rec, header);
+  telemetry::Progress progress(config.progress, "campaign " + header.workload,
                                todo);
   telemetry::Counter done;
-
-  // Per-trial records stay indexed by the *global* trial id (sparse under
-  // sharding) so trial_cycles_out keeps its documented indexing.
-  std::vector<core::Outcome> outcomes(trials.size(), core::Outcome::Masked);
-  std::vector<core::DueCause> causes(trials.size(), core::DueCause::None);
-  std::vector<std::uint64_t> cycles;
-  if (config.trial_cycles_out != nullptr) cycles.assign(trials.size(), 0);
-  std::vector<obs::PropagationRecord> records;
-  if (propagation) records.resize(trials.size());
-
-  // Tally outcomes of owned positions [p_begin, p_end) into `res`. Shared by
-  // the final result, checkpoint snapshots, and the end-of-run telemetry so
-  // all three agree by construction.
-  auto tally_positions = [&](CampaignResult& res, std::size_t p_begin,
-                             std::size_t p_end) {
-    for (std::size_t p = p_begin; p < p_end; ++p) {
-      const std::size_t t = owned[skip + p];
-      switch (trials[t].cls) {
-        case SiteClass::InstructionOutput:
-          res.per_kind[static_cast<std::size_t>(trials[t].kind)].counts.add(
-              outcomes[t]);
-          break;
-        case SiteClass::RegisterFile: res.rf.add(outcomes[t]); break;
-        case SiteClass::Predicate: res.pred.add(outcomes[t]); break;
-        case SiteClass::InstructionAddress: res.ia.add(outcomes[t]); break;
-        case SiteClass::StoreValue: res.store_value.add(outcomes[t]); break;
-        case SiteClass::StoreAddress: res.store_addr.add(outcomes[t]); break;
-        case SiteClass::Scheduler: res.scheduler.add(outcomes[t]); break;
-        case SiteClass::Scoreboard: res.scoreboard.add(outcomes[t]); break;
-        case SiteClass::CtaBookkeeping: res.cta.add(outcomes[t]); break;
-        case SiteClass::WarpControl: res.warp_control.add(outcomes[t]); break;
-        case SiteClass::kCount: break;
-      }
-      res.due_causes.add(causes[t]);
+  auto run_chunk = [&](core::Instance& inst, std::size_t worker,
+                       std::size_t begin, std::size_t end) {
+    const double t0 = trace != nullptr ? trace->now_us() : 0.0;
+    for (const std::size_t p : chunk_order(plan, begin, end))
+      body.run(inst, plan.trial_at(p));
+    if (trace != nullptr) {
+      trace->name_thread(obs::kWallPid, static_cast<int>(worker),
+                         "worker " + std::to_string(worker));
+      trace->complete("campaign " + header.workload, "campaign", obs::kWallPid,
+                      static_cast<int>(worker), t0, trace->now_us() - t0,
+                      {{"begin", begin}, {"trials", end - begin}});
     }
-  };
-
-  // Checkpoint bookkeeping: chunks complete out of order under dynamic
-  // scheduling, so completed position ranges are coalesced into a contiguous
-  // frontier and a checkpoint covers exactly the frontier prefix. `result`
-  // still holds only the per-campaign header here (tallies happen after the
-  // run), so it doubles as the blank checkpoint base.
-  std::mutex ck_mu;
-  std::map<std::size_t, std::size_t> ck_ranges;  // completed [begin, end)
-  std::size_t ck_frontier = 0;
-  std::uint64_t ck_emitted_at = skip;
-  auto note_checkpoint_progress = [&](std::size_t begin, std::size_t end) {
-    if (!checkpointing) return;
-    const std::lock_guard<std::mutex> lock(ck_mu);
-    ck_ranges[begin] = end;
-    for (auto it = ck_ranges.find(ck_frontier); it != ck_ranges.end();
-         it = ck_ranges.find(ck_frontier)) {
-      ck_frontier = it->second;
-      ck_ranges.erase(it);
-    }
-    const std::uint64_t done_abs = skip + ck_frontier;
-    if (done_abs < ck_emitted_at + config.checkpoint_every) return;
-    if (done_abs >= owned.size()) return;  // the final result supersedes it
-    CampaignCheckpoint ck;
-    ck.trials_done = done_abs;
-    ck.partial = config.resume != nullptr ? config.resume->partial : result;
-    tally_positions(ck.partial, 0, ck_frontier);
-    ck_emitted_at = done_abs;
-    config.on_checkpoint(ck);
-  };
-
-  struct WorkerState {
-    std::unique_ptr<core::Workload> w;
-    std::unique_ptr<sim::Device> dev;
-    unsigned max_regs = 0;
-    // Fork batching: the snapshot set this worker's forked trials resume
-    // from — the campaign-wide shared set (captured once, before workers
-    // start) or this worker's own lazily captured copy when
-    // fork_shared_pool is off. Snapshots are immutable after capture, so
-    // read-only sharing across workers needs no synchronisation.
-    const std::vector<sim::Snapshot>* snap_set = nullptr;
-    std::vector<sim::Snapshot> own_snaps;
-  };
-  std::vector<WorkerState> states(workers);
-  states[0].w = std::move(ref);
-  states[0].dev = std::move(ref_dev);
-  states[0].max_regs = states[0].w->max_regs_per_thread();
-
-  auto ensure_state = [&](std::size_t s) -> WorkerState& {
-    WorkerState& st = states[s];
-    if (!st.w) {
-      st.w = factory();
-      st.dev = std::make_unique<sim::Device>(st.w->config().gpu);
-      st.w->prepare(*st.dev);
-      st.max_regs = st.w->max_regs_per_thread();
-    }
-    return st;
-  };
-
-  // One capture pass = one event; the ci.sh warm-shared-pool leg asserts
-  // exactly one of these per campaign regardless of worker count.
-  auto note_capture = [&](const std::vector<sim::Snapshot>& snaps,
-                          bool shared) {
-    std::uint64_t bytes = 0;
-    for (const sim::Snapshot& s : snaps) bytes += s.memory.size();
-    metrics.counter("gpurel_campaign_snapshots_total").add(snaps.size());
-    if (sink != nullptr)
-      sink->emit("campaign_snapshot_capture", {{"workload", result.workload},
-                                               {"epochs", snaps.size()},
-                                               {"image_bytes", bytes},
-                                               {"shared", shared}});
-  };
-
-  auto ensure_snaps = [&](WorkerState& st) {
-    if (st.snap_set != nullptr) return;
-    // Legacy per-worker pool (fork_shared_pool off): capture lazily on the
-    // worker's first forked trial. The shared path assigns snap_set before
-    // workers are dispatched, so it never reaches the capture here.
-    st.w->capture_prefix(*st.dev, marks, st.own_snaps);
-    st.snap_set = &st.own_snaps;
-    note_capture(st.own_snaps, /*shared=*/false);
-  };
-
-  // Per-trial fault sampling, shared verbatim by the execution path and the
-  // fork planner below so the RNG draw sequence stays byte-for-byte
-  // identical whether or not a trial is forked.
-  struct TrialSample {
-    unsigned bit = 0;
-    unsigned ia_bit = 0;
-    unsigned rf_reg = 0;
-    std::uint64_t target_index = 0;
-    std::uint64_t fire_cycle = 0;  // micro-architectural trials only
-  };
-  auto sample_trial = [&](const TrialDesc& desc,
-                          unsigned max_regs) -> TrialSample {
-    Rng rng(desc.seed);
-    TrialSample s;
-    if (is_microarch(desc.cls)) {
-      // Micro-architectural trials address a static site plus a fire cycle
-      // drawn over the golden cycle count. Their seeds are fresh (the
-      // strata append after every architectural one), so this draw order is
-      // free — the architectural sequence below stays byte-for-byte fixed.
-      s.target_index = rng.uniform_u64(space.of(desc.cls).sites());
-      s.fire_cycle =
-          rng.uniform_u64(std::max<std::uint64_t>(1, golden_cycles));
-      return s;
-    }
-    s.bit = rng.next_u32();  // reduced modulo the destination width at fire time
-    s.ia_bit = static_cast<unsigned>(rng.uniform_u64(pc_bits));
-    // max(1, regs): every trial draws rf_reg to keep the draw order fixed
-    // across modes; RF-mode trials on a zero-register workload were already
-    // rejected at plan time, so the clamp only ever pads non-RF draws.
-    s.rf_reg = static_cast<unsigned>(rng.uniform_u64(std::max(1u, max_regs)));
-    s.target_index = rng.uniform_u64(class_sites(sites, desc.cls, desc.kind));
-    return s;
-  };
-
-  // Fork planning: bucket each owned trial by the deepest epoch whose prefix
-  // consumes only sites strictly before the trial's target, so the injection
-  // fires inside the resumed suffix. Micro-architectural trials are bucketed
-  // by simulated-time position instead: an epoch is valid when its boundary
-  // is at or before the fire cycle (advance windows are [from, to), so a
-  // fire exactly on the boundary still lands in the resumed suffix). -1 =
-  // run the trial from scratch.
-  std::vector<int> trial_epoch;
-  if (forking) {
-    trial_epoch.assign(trials.size(), -1);
-    for (const std::size_t t : owned) {
-      const TrialDesc& d = trials[t];
-      if (zero_site_class[static_cast<std::size_t>(d.cls)]) continue;
-      const TrialSample s = sample_trial(d, states[0].max_regs);
-      int e = -1;
-      if (is_microarch(d.cls)) {
-        while (e + 1 < static_cast<int>(epochs.size()) &&
-               epochs[static_cast<std::size_t>(e + 1)].cum_cycle <=
-                   s.fire_cycle)
-          ++e;
-      } else {
-        while (e + 1 < static_cast<int>(epochs.size()) &&
-               class_sites(epochs[static_cast<std::size_t>(e + 1)].at, d.cls,
-                           d.kind) <= s.target_index)
-          ++e;
-      }
-      trial_epoch[t] = e;
-    }
-  }
-
-  // Shared snapshot pool: capture the fault-free prefix ONCE, on the
-  // reference instance, and hand every worker the same immutable snapshot
-  // vector — eliminating the W-1 redundant prefix simulations of the lazy
-  // per-worker path. Captured eagerly (before dispatch) so no worker races
-  // the capture; skipped when no executed trial actually forks.
-  std::vector<sim::Snapshot> shared_snaps;
-  bool shared_pool = false;
-  if (forking && config.fork_shared_pool) {
-    for (std::size_t p = skip; p < owned.size() && !shared_pool; ++p)
-      shared_pool = trial_epoch[owned[p]] >= 0;
-    if (shared_pool) {
-      states[0].w->capture_prefix(*states[0].dev, marks, shared_snaps);
-      for (auto& st : states) st.snap_set = &shared_snaps;
-      note_capture(shared_snaps, /*shared=*/true);
-    }
-  }
-
-  auto run_one = [&](WorkerState& st, std::size_t t) {
-    const TrialDesc& desc = trials[t];
-    if (zero_site_class[static_cast<std::size_t>(desc.cls)]) {
-      // Resolved at plan time: no reachable site, so the fault is masked by
-      // definition — no RNG draws, no simulation.
-      outcomes[t] = core::Outcome::Masked;
-      if (!cycles.empty()) cycles[t] = 0;
-      if (propagation) {
-        obs::PropagationRecord& rec = records[t];
-        rec.trial = t;
-        rec.model = std::string(site_class_name(desc.cls));
-        rec.fired = false;
-        rec.outcome = "Masked";
-      }
-      m_trials.add();
-      return;
-    }
-    const TrialSample sample = sample_trial(desc, st.max_regs);
-    const int epoch = forking ? trial_epoch[t] : -1;
-    const telemetry::Timer trial_wall;
-    core::TrialResult r;
-
-    // Stamp the terminal-event fields the workload owns (outcome, DUE
-    // cause, SDC corruption geometry) onto a provenance record.
-    auto finish_record = [&](obs::PropagationRecord rec) {
-      rec.outcome = std::string(core::outcome_name(r.outcome));
-      if (r.outcome == core::Outcome::Due) {
-        rec.due = std::string(sim::due_kind_name(r.due));
-        rec.due_cause = std::string(core::due_cause_name(r.cause));
-      } else if (r.outcome == core::Outcome::Sdc) {
-        // Outputs are still on the device here (next trial resets it), so
-        // the corruption footprint can be diffed against the golden copy.
-        const core::Workload::OutputGeometry g = st.w->output_geometry();
-        std::vector<std::uint64_t> bad = st.w->corrupted_elements(*st.dev);
-        rec.output_rows = g.rows;
-        rec.output_cols = g.cols;
-        rec.corrupted_elems = bad.size();
-        rec.geometry =
-            std::string(obs::sdc_geometry_name(obs::classify_sdc_geometry(
-                bad, g.rows, g.cols)));
-      }
-      records[t] = std::move(rec);
-    };
-
-    if (is_microarch(desc.cls)) {
-      // Micro-architectural strike: machine state, not an instruction site —
-      // no taint tracker (there is no instruction provenance to seed); the
-      // record is assembled from the observer's own account instead.
-      MicroArchObserver march(layout, desc.cls, sample.target_index,
-                              sample.fire_cycle);
-      if (epoch >= 0) {
-        ensure_snaps(st);
-        const sim::Snapshot& snap =
-            (*st.snap_set)[static_cast<std::size_t>(epoch)];
-        march.preset_cycle_base(snap.prior.cycles);
-        r = st.w->run_trial_forked(*st.dev, snap, &march, config.fork_delta);
-        m_restore_bytes.add(st.w->last_restore_bytes());
-      } else {
-        r = st.w->run_trial(*st.dev, &march);
-      }
-      m_latency.observe(trial_wall.elapsed_ms());
-      m_trials.add();
-      outcomes[t] = r.outcome;
-      causes[t] = r.cause;
-      if (!cycles.empty()) cycles[t] = r.stats.cycles;
-      if (propagation) {
-        obs::PropagationRecord rec;
-        rec.trial = t;
-        rec.model = std::string(site_class_name(desc.cls));
-        rec.fired = march.fired();
-        rec.effect = march.effect();
-        rec.bit = march.site().bit;
-        rec.cycle = march.fired() ? sample.fire_cycle : 0;
-        finish_record(std::move(rec));
-      }
-      return;
-    }
-
-    InjectionObserver obs;
-    obs.mode = fault_model_of(desc.cls);
-    obs.inj = &injector;
-    obs.bit = sample.bit;
-    obs.ia_bit = sample.ia_bit;
-    obs.rf_reg = sample.rf_reg;
-    obs.target_kind = desc.kind;  // meaningful for IOV; ignored otherwise
-    obs.target_index = sample.target_index;
-    // Provenance rides behind the injection observer in a tee: injection
-    // first (so the tracker sees post-injection register state), tracker
-    // second. Both claim only hooks the injection path already claims, so
-    // the executor's dispatch — and thus every outcome — is unchanged.
-    obs::PropagationObserver prop;
-    sim::TeeObserver tee(&obs, &prop);
-    sim::SimObserver* trial_obs = &obs;
-    if (propagation) {
-      prop.begin_trial(t, std::string(site_class_name(desc.cls)));
-      obs.prop = &prop;
-      trial_obs = &tee;
-    }
-    if (epoch >= 0) {
-      ensure_snaps(st);
-      const EpochSites& es = epochs[static_cast<std::size_t>(epoch)];
-      obs.preset_counts(class_sites(es.at, desc.cls, desc.kind));
-      // The skipped prefix is fault-free, so the tracker only needs its
-      // lane-instruction clock advanced to keep records fork-invariant.
-      if (propagation) prop.preset_lane_count(es.at.total_lane);
-      r = st.w->run_trial_forked(
-          *st.dev, (*st.snap_set)[static_cast<std::size_t>(epoch)], trial_obs,
-          config.fork_delta);
-      m_restore_bytes.add(st.w->last_restore_bytes());
-    } else {
-      r = st.w->run_trial(*st.dev, trial_obs);
-    }
-    m_latency.observe(trial_wall.elapsed_ms());
-    m_trials.add();
-    outcomes[t] = r.outcome;
-    causes[t] = r.cause;
-    if (!cycles.empty()) cycles[t] = r.stats.cycles;
-    if (propagation) finish_record(prop.finish());
-  };
-
-  auto after_chunk = [&](std::size_t begin, std::size_t end) {
     done.add(end - begin);
     progress.tick(end - begin);
     if (sink != nullptr)
@@ -1011,234 +1030,43 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
                                     {"end", end},
                                     {"done", done.value()},
                                     {"total", todo}});
-    note_checkpoint_progress(begin, end);
+    frontier.complete(begin, end);
   };
+  const std::vector<core::Instance> instances = run_per_worker(
+      workers, todo, std::move(ref),
+      [&] { return core::make_instance(factory); }, run_chunk);
 
-  // A static shard completes the strided position set {shard, shard+workers,
-  // ...}, not a contiguous range; the old report of [shard, shard+n) made
-  // chunk events overlap between shards and overstate early progress. The
-  // strided extent is reported explicitly instead, and never feeds the
-  // checkpoint frontier (checkpointing already requires Schedule::Dynamic).
-  auto after_shard = [&](std::size_t shard, std::size_t n) {
-    done.add(n);
-    progress.tick(n);
-    if (sink != nullptr)
-      sink->emit("campaign_chunk", {{"begin", shard},
-                                    {"stride", std::size_t{workers}},
-                                    {"count", n},
-                                    {"done", done.value()},
-                                    {"total", todo}});
-  };
+  if (plan.forking()) record_pool_bytes(snaps, instances);
 
-  auto emit_chunk_span = [&](std::size_t worker, double t0, std::size_t begin,
-                             std::size_t n) {
-    if (trace == nullptr) return;
-    trace->name_thread(obs::kWallPid, static_cast<int>(worker),
-                       "worker " + std::to_string(worker));
-    trace->complete("campaign " + result.workload, "campaign", obs::kWallPid,
-                    static_cast<int>(worker), t0, trace->now_us() - t0,
-                    {{"begin", begin}, {"trials", n}});
-  };
-
-  // Batch epoch-sorting: under forking, each worker executes its batch's
-  // positions grouped by fork epoch (stable sort, so same-epoch trials keep
-  // their position order) so consecutive trials resume from a hot snapshot —
-  // the delta fast path only fires for back-to-back trials on the same
-  // snapshot. Per-trial seeding makes every outcome independent of execution
-  // order, and completion is still reported for the whole batch, so chunk
-  // events and the checkpoint frontier are unchanged.
-  auto sorted_positions = [&](std::size_t begin, std::size_t end,
-                              std::size_t stride) {
-    std::vector<std::size_t> ps;
-    ps.reserve((end - begin + stride - 1) / stride);
-    for (std::size_t p = begin; p < end; p += stride) ps.push_back(p);
-    std::stable_sort(ps.begin(), ps.end(), [&](std::size_t a, std::size_t b) {
-      return trial_epoch[owned[skip + a]] < trial_epoch[owned[skip + b]];
-    });
-    return ps;
-  };
-
-  // Ranges handed to the schedulers are *positions* in the owned order
-  // (dense [0, todo)); run_one maps them back to global trial ids.
-  auto run_range = [&](std::size_t worker, std::size_t begin, std::size_t end) {
-    WorkerState& st = ensure_state(worker);
-    const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-    if (forking) {
-      for (const std::size_t p : sorted_positions(begin, end, 1))
-        run_one(st, owned[skip + p]);
-    } else {
-      for (std::size_t p = begin; p < end; ++p) run_one(st, owned[skip + p]);
-    }
-    emit_chunk_span(worker, t0, begin, end - begin);
-    after_chunk(begin, end);
-  };
-
-  if (!dynamic) {
-    // Legacy static round-robin sharding (benchmark baseline).
-    auto run_shard = [&](std::size_t shard) {
-      WorkerState& st = ensure_state(shard);
-      const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-      std::size_t n = 0;
-      if (forking) {
-        const std::vector<std::size_t> ps =
-            sorted_positions(shard, todo, workers);
-        n = ps.size();
-        for (const std::size_t p : ps) run_one(st, owned[skip + p]);
-      } else {
-        for (std::size_t p = shard; p < todo; p += workers, ++n)
-          run_one(st, owned[skip + p]);
-      }
-      if (n > 0) {
-        emit_chunk_span(shard, t0, shard, n);
-        after_shard(shard, n);  // one completion per shard, strided positions
-      }
-    };
-    if (workers == 1) {
-      run_shard(0);
-    } else {
-      ThreadPool pool(workers);
-      parallel_for(pool, workers, run_shard);
-    }
-  } else if (workers == 1) {
-    for (std::size_t begin = 0; begin < todo;) {
-      const std::size_t step =
-          chunk > 0 ? chunk : guided_chunk(todo - begin, 1);
-      const std::size_t end = std::min(todo, begin + step);
-      run_range(0, begin, end);
-      begin = end;
-    }
-  } else {
-    ThreadPool pool(workers);
-    parallel_chunks(pool, todo, chunk, run_range);
-  }
-
-  // Snapshot-pool footprint: the bytes actually retained for fork batching —
-  // each distinct snapshot set's memory images (ONE set under the shared
-  // pool, one per capturing worker on the legacy path) plus every worker's
-  // delta-tracking dirty scratch. set_max keeps the high-water mark across
-  // campaigns in one process.
-  if (forking) {
-    std::uint64_t pool_bytes = 0;
-    if (shared_pool)
-      for (const sim::Snapshot& s : shared_snaps) pool_bytes += s.memory.size();
-    for (WorkerState& st : states) {
-      if (st.snap_set == &st.own_snaps)
-        for (const sim::Snapshot& s : st.own_snaps)
-          pool_bytes += s.memory.size();
-      if (st.dev) pool_bytes += st.dev->memory().dirty_scratch_bytes();
-    }
-    metrics.gauge("gpurel_campaign_snapshot_pool_bytes")
-        .set_max(static_cast<double>(pool_bytes));
-  }
-
-  // Serial tally in trial order; a resumed prefix contributes through its
-  // checkpoint tallies (integer sums, so the combined result is bit-identical
-  // to the uninterrupted run).
-  tally_positions(result, 0, todo);
+  // Tally step, serially in trial order; a resumed prefix contributes
+  // through its checkpoint tallies (integer sums, so the combined result is
+  // bit-identical to the uninterrupted run).
+  CampaignResult result = header;
+  tally(plan, rec, result, 0, todo);
   if (config.resume != nullptr) result.merge(config.resume->partial);
   if (config.trial_outcomes_out != nullptr)
-    *config.trial_outcomes_out = outcomes;
+    *config.trial_outcomes_out = rec.outcomes;
   if (config.trial_cycles_out != nullptr)
-    *config.trial_cycles_out = std::move(cycles);
+    *config.trial_cycles_out = std::move(rec.cycles);
 
-  if (propagation) {
-    // Aggregate and emit serially in owned-trial order: records were filled
-    // in place by whichever worker ran the trial, so the JSONL stream (and
-    // the report's integer sums) are identical for any worker count.
-    obs::PropagationReport rep;
-    for (std::size_t p = 0; p < todo; ++p) rep.add(records[owned[skip + p]]);
-    result.propagation = std::move(rep);
-    if (sink != nullptr) {
-      for (std::size_t p = 0; p < todo; ++p) {
-        const obs::PropagationRecord& rec = records[owned[skip + p]];
-        auto site_name = [&](std::string_view s) {
-          return rec.fired ? std::string(s) : std::string();
-        };
-        sink->emit(
-            "propagation_record",
-            {{"schema_version", obs::kPropagationSchemaVersion},
-             {"trial", rec.trial},
-             {"model", rec.model},
-             {"fired", rec.fired},
-             {"effect", rec.effect},
-             {"kind", site_name(isa::unit_kind_name(rec.site_kind))},
-             {"mix", site_name(isa::mix_class_name(rec.site_mix))},
-             {"opcode", site_name(isa::opcode_name(rec.site_opcode))},
-             {"bit", rec.bit},
-             {"pc", rec.pc},
-             {"sm", rec.sm},
-             {"warp", rec.warp},
-             {"lane", rec.lane},
-             {"cta", rec.cta},
-             {"cycle", rec.cycle},
-             {"lane_instr", rec.lane_instr},
-             {"regs_touched", rec.regs_touched},
-             {"preds_touched", rec.preds_touched},
-             {"shared_bytes", rec.shared_bytes},
-             {"global_bytes", rec.global_bytes},
-             {"warps_reached", rec.warps_reached},
-             {"blocks_reached", rec.blocks_reached},
-             {"control_divergences", rec.control_divergences},
-             {"overwrite_kills", rec.overwrite_kills},
-             {"masking_depth", rec.masking_depth},
-             {"taint_live_at_end", rec.taint_live_at_end},
-             {"outcome", rec.outcome},
-             {"due", rec.due},
-             {"due_cause", rec.due_cause},
-             {"geometry", rec.geometry},
-             {"corrupted_elems", rec.corrupted_elems},
-             {"output_rows", rec.output_rows},
-             {"output_cols", rec.output_cols}});
-      }
+  if (config.propagation) {
+    // Aggregate and emit serially in owned-trial order, so the JSONL stream
+    // (and the report's integer sums) are identical for any worker count.
+    result.propagation.emplace();
+    for (std::size_t p = 0; p < todo; ++p) {
+      const obs::PropagationRecord& r = rec.props[plan.trial_at(p)];
+      result.propagation->add(r);
+      if (sink != nullptr) sink->emit("propagation_record", r.to_json());
     }
     if (config.propagation_records_out != nullptr)
-      *config.propagation_records_out = std::move(records);
+      *config.propagation_records_out = std::move(rec.props);
   }
 
-  // Registry snapshot of this campaign's outcomes and injection-site
-  // coverage (counters accumulate across campaigns in one process).
-  auto count_outcomes = [&](const char* model, const char* kind,
-                            const OutcomeCounts& c) {
-    if (c.total() == 0) return;
-    auto bump = [&](const char* outcome, std::uint64_t n) {
-      if (n > 0)
-        metrics
-            .counter("gpurel_campaign_outcomes_total",
-                     {{"model", model}, {"kind", kind}, {"outcome", outcome}})
-            .add(n);
-    };
-    bump("masked", c.masked);
-    bump("sdc", c.sdc);
-    bump("due", c.due);
-  };
-  for (std::size_t k = 0; k < kKinds; ++k) {
-    const KindStats& ks = result.per_kind[k];
-    const auto kind_name =
-        std::string(isa::unit_kind_name(static_cast<UnitKind>(k)));
-    count_outcomes("output", kind_name.c_str(), ks.counts);
-    if (ks.dynamic_sites > 0) {
-      metrics
-          .gauge("gpurel_campaign_dynamic_sites", {{"kind", kind_name}})
-          .set(static_cast<double>(ks.dynamic_sites));
-      metrics
-          .gauge("gpurel_campaign_site_coverage", {{"kind", kind_name}})
-          .set(static_cast<double>(ks.counts.total()) /
-               static_cast<double>(ks.dynamic_sites));
-    }
-  }
-  count_outcomes("rf", "all", result.rf);
-  count_outcomes("pred", "all", result.pred);
-  count_outcomes("ia", "all", result.ia);
-  count_outcomes("store_value", "all", result.store_value);
-  count_outcomes("store_addr", "all", result.store_addr);
-  count_outcomes("sched", "all", result.scheduler);
-  count_outcomes("scoreboard", "all", result.scoreboard);
-  count_outcomes("cta", "all", result.cta);
-  count_outcomes("warp_control", "all", result.warp_control);
-
+  record_outcome_metrics(result);
   if (sink != nullptr) {
     OutcomeCounts all;
-    for (std::size_t p = 0; p < todo; ++p) all.add(outcomes[owned[skip + p]]);
+    for (std::size_t p = 0; p < todo; ++p)
+      all.add(rec.outcomes[plan.trial_at(p)]);
     const double ms = wall.elapsed_ms();
     sink->emit("campaign_end",
                {{"injector", result.injector},

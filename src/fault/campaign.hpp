@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -45,8 +46,8 @@ struct OutcomeCounts {
 /// Dynamic fault-site counts of one workload under one injector's
 /// eligibility rules, measured by a fault-free counting run. A campaign
 /// normally performs this run itself; callers launching several campaigns
-/// over the same (injector, workload) pair — schedule comparisons,
-/// throughput benchmarks — can measure once with count_sites() and share the
+/// over the same (injector, workload) pair — throughput benchmarks, repeated
+/// fork/plain comparisons — can measure once with count_sites() and share the
 /// result through CampaignConfig::sites, skipping the redundant fault-free
 /// runs. Sharing is bit-identity-preserving: trial seeds and site sampling
 /// depend only on these counts, not on how they were obtained.
@@ -56,18 +57,6 @@ struct SiteCounts {
   std::uint64_t pred = 0;          // predicate-writing lane executions
   std::uint64_t stores = 0;        // lane-level STG/STS executions
   std::uint64_t total_lane = 0;    // all lane executions (IA/RF anchor)
-};
-
-/// How trials are distributed over campaign workers. Per-trial seeding makes
-/// results bit-identical under either policy and any worker count.
-enum class Schedule : std::uint8_t {
-  /// Chunked dynamic self-scheduling (default): workers pull small index
-  /// chunks from a shared cursor, so a run of watchdog-timeout DUE trials
-  /// cannot stall one shard while the others sit idle.
-  Dynamic,
-  /// Legacy static round-robin sharding (trial i -> worker i % workers);
-  /// kept as the measurable baseline for bench_campaign_throughput.
-  StaticRoundRobin,
 };
 
 struct KindStats {
@@ -151,6 +140,65 @@ struct CampaignResult {
   void merge(const CampaignResult& other);
 };
 
+/// One outcome stratum a campaign tallies besides the per-kind
+/// instruction-output strata: a site class, where its tally and site count
+/// live in CampaignResult, how it is named, and what funds it.
+struct Stratum {
+  SiteClass cls;
+  std::string_view key;    ///< serialized CampaignResult key
+  std::string_view label;  ///< metrics `model` label; budget key = label + "_injections"
+  std::string_view level;  ///< injector-reach sweep level (micro-architectural rows)
+  bool weighted;           ///< folds into overall_avf_* weighted by its site count
+  OutcomeCounts CampaignResult::*counts;
+  std::uint64_t CampaignResult::*sites;
+  unsigned InjectionBudget::*budget;
+};
+
+/// The strata table: one row per SiteClass after InstructionOutput, in
+/// SiteClass order (the trial-planning, tally and serialization order).
+/// Planning, tallying, merging, the AVF weighting, metrics, the job-layer
+/// serializers, the Study budget and the reach sweep all iterate this
+/// table, so a new site class is added here and nowhere else.
+inline constexpr std::array<Stratum, kSiteClasses - 1> kStrata{{
+    {SiteClass::RegisterFile, "rf", "rf", "", false, &CampaignResult::rf,
+     &CampaignResult::total_lane_sites, &InjectionBudget::rf_injections},
+    {SiteClass::Predicate, "pred", "pred", "", true, &CampaignResult::pred,
+     &CampaignResult::pred_sites, &InjectionBudget::pred_injections},
+    {SiteClass::InstructionAddress, "ia", "ia", "", false, &CampaignResult::ia,
+     &CampaignResult::total_lane_sites, &InjectionBudget::ia_injections},
+    {SiteClass::StoreValue, "store_value", "store_value", "", false,
+     &CampaignResult::store_value, &CampaignResult::store_sites,
+     &InjectionBudget::store_value_injections},
+    {SiteClass::StoreAddress, "store_addr", "store_addr", "", false,
+     &CampaignResult::store_addr, &CampaignResult::store_sites,
+     &InjectionBudget::store_addr_injections},
+    {SiteClass::Scheduler, "scheduler", "sched", "+scheduler", true,
+     &CampaignResult::scheduler, &CampaignResult::scheduler_sites,
+     &InjectionBudget::sched_injections},
+    {SiteClass::Scoreboard, "scoreboard", "scoreboard", "+scoreboards", true,
+     &CampaignResult::scoreboard, &CampaignResult::scoreboard_sites,
+     &InjectionBudget::scoreboard_injections},
+    {SiteClass::CtaBookkeeping, "cta", "cta", "+cta-bookkeeping", true,
+     &CampaignResult::cta, &CampaignResult::cta_sites,
+     &InjectionBudget::cta_injections},
+    {SiteClass::WarpControl, "warp_control", "warp_control", "+warp-control",
+     true, &CampaignResult::warp_control, &CampaignResult::warp_control_sites,
+     &InjectionBudget::warp_control_injections},
+}};
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kStrata.size(); ++i)
+        if (static_cast<std::size_t>(kStrata[i].cls) != i + 1) return false;
+      return true;
+    }(),
+    "kStrata needs one row per SiteClass after InstructionOutput");
+
+/// The table row of a non-InstructionOutput site class.
+constexpr const Stratum& stratum(SiteClass c) {
+  return kStrata[static_cast<std::size_t>(c) - 1];
+}
+
 /// Snapshot of a partially executed shard: the tally of exactly the first
 /// `trials_done` trials of this shard's deterministic trial order. A killed
 /// shard relaunched with CampaignConfig::resume pointing at its last
@@ -165,11 +213,6 @@ struct CampaignCheckpoint {
 struct CampaignConfig : InjectionBudget, obs::RunContext {
   std::uint64_t seed = 0x1234;
   unsigned workers = 1;
-  Schedule schedule = Schedule::Dynamic;
-  /// Trials per dynamically-scheduled chunk; 0 = guided self-scheduling
-  /// (decreasing chunk sizes, see gpurel::guided_chunk). Either way results
-  /// are bit-identical — only the work distribution changes.
-  unsigned chunk = 0;
   /// When set, receives the per-trial simulated-cycle cost, indexed by the
   /// campaign's (deterministic) internal trial order. Consumed by scheduling
   /// benchmarks; leave null otherwise.
@@ -180,29 +223,16 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
   std::vector<core::Outcome>* trial_outcomes_out = nullptr;
 
   /// Checkpoint-fork trial batching: when > 0 and the workload is fork-safe
-  /// (core::Workload::fork_safe), each worker simulates the shared fault-free
-  /// prefix once, snapshotting device state at up to this many evenly spaced
-  /// epochs, and every trial whose injection fires after an epoch resumes
-  /// from the deepest valid snapshot instead of re-simulating the prefix.
-  /// Per-trial RNG draws and outcomes are bit-identical to fork_epochs == 0;
-  /// only wall-clock changes. Ignored (plain execution) for workloads that
-  /// are not fork-safe.
+  /// (core::Workload::fork_safe), the shared fault-free prefix is simulated
+  /// once, before workers start, snapshotting device state at up to this
+  /// many evenly spaced epochs; every worker reads that one snapshot set, and
+  /// every trial whose injection fires after an epoch resumes from the
+  /// deepest valid snapshot instead of re-simulating the prefix (delta
+  /// restores: consecutive trials from one snapshot copy back only what the
+  /// previous suffix touched). Per-trial RNG draws and outcomes are
+  /// bit-identical to fork_epochs == 0; only wall-clock changes. Ignored
+  /// (plain execution) for workloads that are not fork-safe.
   unsigned fork_epochs = 0;
-  /// Delta restores (fork_epochs > 0 only): arm coarse dirty tracking on the
-  /// worker's device so consecutive trials forked from the same snapshot copy
-  /// back only the state the previous suffix touched instead of the full
-  /// device image. Bit-identity-neutral; off switches every restore back to
-  /// the full copy (the A/B knob for the ci.sh byte-identity leg and the
-  /// bench delta series).
-  bool fork_delta = true;
-  /// Shared snapshot set (fork_epochs > 0 only): capture the fault-free
-  /// prefix once, before workers start, and share the immutable snapshot
-  /// vector read-only across all workers — eliminating the W-1 redundant
-  /// prefix simulations of the per-worker capture path. Each worker's trial
-  /// batch is sorted by fork epoch so consecutive trials reuse a hot
-  /// snapshot. Bit-identity-neutral; off restores the legacy lazy per-worker
-  /// capture.
-  bool fork_shared_pool = true;
   /// Fault-propagation flight recorder: when true, every executed trial runs
   /// with an obs::PropagationObserver teed behind the injection observer,
   /// producing a per-trial provenance record (emitted as `propagation_record`
@@ -232,9 +262,8 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
 
   /// Emit a CampaignCheckpoint through on_checkpoint every time this many
   /// additional owned trials form a completed contiguous prefix of the
-  /// shard's trial order. 0 disables checkpointing. Requires
-  /// Schedule::Dynamic (the static path reports no usable completion
-  /// ranges). The callback runs under an internal lock — keep it brief.
+  /// shard's trial order. 0 disables checkpointing. The callback runs
+  /// under an internal lock — keep it brief.
   unsigned checkpoint_every = 0;
   std::function<void(const CampaignCheckpoint&)> on_checkpoint;
   /// Resume from a checkpoint previously emitted by this exact shard

@@ -117,7 +117,6 @@ JobResult run_job(const JobSpec& spec, const RunOptions& opts) {
     cc.seed = spec.seed;
     cc.workers = opts.workers;
     cc.fork_epochs = spec.fork_epochs;
-    cc.fork_delta = spec.fork_delta;
     cc.propagation = spec.propagation;
     cc.shard_index = spec.shard.index;
     cc.shard_count = spec.shard.count;

@@ -2,7 +2,7 @@
 // layer, and tests all share: cache lookup → engine execution → cache store,
 // with optional crash-resumable checkpointing for campaign jobs.
 //
-// Execution knobs (workers, schedule, observability, cache directory,
+// Execution knobs (workers, observability, cache directory,
 // checkpoint cadence) live in RunOptions, NOT in the spec: they cannot
 // change results (per-trial seeding), so they must not change the content
 // hash either.

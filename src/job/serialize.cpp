@@ -157,33 +157,32 @@ Value campaign_result_to_json(const fault::CampaignResult& r) {
     kinds.push_back(std::move(e));
   }
   v.set("per_kind", std::move(kinds));
-  v.set("rf", counts_to_json(r.rf));
-  v.set("pred", counts_to_json(r.pred));
-  v.set("ia", counts_to_json(r.ia));
-  v.set("store_value", counts_to_json(r.store_value));
-  v.set("store_addr", counts_to_json(r.store_addr));
+  // Architectural strata sit at top level (their dynamic site counts are
+  // shared between strata, so they follow as named fields); the
+  // micro-architectural ones are serialized only when the injector reaches
+  // them (static site counts are zero for the SASS-level injectors), so
+  // architectural campaigns keep their pre-existing layout — and a round
+  // trip preserves the site constants CampaignResult::merge checks. The
+  // DUE-cause split below is additive for any campaign that saw a DUE;
+  // readers treat both sections as optional.
+  Value m = Value::object();
+  std::uint64_t microarch_sites = 0;
+  for (const fault::Stratum& s : fault::kStrata) {
+    if (!fault::is_microarch(s.cls)) {
+      v.set(std::string(s.key), counts_to_json(r.*s.counts));
+    } else {
+      m.set(std::string(s.key), counts_to_json(r.*s.counts));
+      microarch_sites += r.*s.sites;
+    }
+  }
   v.set("pred_sites", r.pred_sites);
   v.set("store_sites", r.store_sites);
   v.set("total_lane_sites", r.total_lane_sites);
   v.set("eligible_output_sites", r.eligible_output_sites);
-  // Micro-architectural strata are serialized only when the injector reaches
-  // them (site counts are zero for the SASS-level injectors), so
-  // architectural campaigns keep their pre-existing layout here — and a
-  // round trip preserves the site constants CampaignResult::merge checks.
-  // The DUE-cause split below is additive for any campaign that saw a DUE;
-  // readers treat both sections as optional.
-  if (r.scheduler_sites + r.scoreboard_sites + r.cta_sites +
-          r.warp_control_sites >
-      0) {
-    Value m = Value::object();
-    m.set("scheduler", counts_to_json(r.scheduler));
-    m.set("scoreboard", counts_to_json(r.scoreboard));
-    m.set("cta", counts_to_json(r.cta));
-    m.set("warp_control", counts_to_json(r.warp_control));
-    m.set("scheduler_sites", r.scheduler_sites);
-    m.set("scoreboard_sites", r.scoreboard_sites);
-    m.set("cta_sites", r.cta_sites);
-    m.set("warp_control_sites", r.warp_control_sites);
+  if (microarch_sites > 0) {
+    for (const fault::Stratum& s : fault::kStrata)
+      if (fault::is_microarch(s.cls))
+        m.set(std::string(s.key) + "_sites", r.*s.sites);
     v.set("microarch", std::move(m));
   }
   if (r.due_causes.total() > 0) {
@@ -206,31 +205,32 @@ fault::CampaignResult campaign_result_from_json(const Value& doc) {
   fault::CampaignResult r;
   r.injector = json::get_string(doc, "injector");
   r.workload = json::get_string(doc, "workload");
-  for (const Value& e : doc.at("per_kind").items()) {
-    const isa::UnitKind k = unit_kind_from_name(json::get_string(e, "kind"));
-    auto& ks = r.per_kind[static_cast<std::size_t>(k)];
-    ks.dynamic_sites = json::get_uint(e, "dynamic_sites");
-    ks.counts = counts_from_json(e.at("counts"));
+  // One entry per unit kind, in kind order — exactly what the writer emits;
+  // a missing, duplicate or reordered kind means a corrupt document.
+  const Value& kinds = doc.at("per_kind");
+  if (kinds.size() != kKinds)
+    throw std::runtime_error("job: campaign result per_kind has wrong arity");
+  for (std::size_t k = 0; k < kKinds; ++k) {
+    const Value& e = kinds[k];
+    if (unit_kind_from_name(json::get_string(e, "kind")) !=
+        static_cast<isa::UnitKind>(k))
+      throw std::runtime_error("job: campaign result per_kind order mismatch");
+    r.per_kind[k].dynamic_sites = json::get_uint(e, "dynamic_sites");
+    r.per_kind[k].counts = counts_from_json(e.at("counts"));
   }
-  r.rf = counts_from_json(doc.at("rf"));
-  r.pred = counts_from_json(doc.at("pred"));
-  r.ia = counts_from_json(doc.at("ia"));
-  r.store_value = counts_from_json(doc.at("store_value"));
-  r.store_addr = counts_from_json(doc.at("store_addr"));
+  const Value* m = doc.find("microarch");
+  for (const fault::Stratum& s : fault::kStrata) {
+    if (!fault::is_microarch(s.cls)) {
+      r.*s.counts = counts_from_json(doc.at(s.key));
+    } else if (m != nullptr) {
+      r.*s.counts = counts_from_json(m->at(s.key));
+      r.*s.sites = json::get_uint(*m, std::string(s.key) + "_sites");
+    }
+  }
   r.pred_sites = json::get_uint(doc, "pred_sites");
   r.store_sites = json::get_uint(doc, "store_sites");
   r.total_lane_sites = json::get_uint(doc, "total_lane_sites");
   r.eligible_output_sites = json::get_uint(doc, "eligible_output_sites");
-  if (const Value* m = doc.find("microarch")) {
-    r.scheduler = counts_from_json(m->at("scheduler"));
-    r.scoreboard = counts_from_json(m->at("scoreboard"));
-    r.cta = counts_from_json(m->at("cta"));
-    r.warp_control = counts_from_json(m->at("warp_control"));
-    r.scheduler_sites = json::get_uint(*m, "scheduler_sites");
-    r.scoreboard_sites = json::get_uint(*m, "scoreboard_sites");
-    r.cta_sites = json::get_uint(*m, "cta_sites");
-    r.warp_control_sites = json::get_uint(*m, "warp_control_sites");
-  }
   if (const Value* d = doc.find("due_causes")) {
     r.due_causes.hang = json::get_uint(*d, "hang");
     r.due_causes.launch_failure = json::get_uint(*d, "launch_failure");

@@ -4,11 +4,21 @@
 #include <stdexcept>
 
 #include "common/bits.hpp"
+#include "fault/campaign.hpp"
 #include "job/serialize.hpp"
 
 namespace gpurel::job {
 
 using json::Value;
+
+namespace {
+
+/// A stratum's budget key in the spec document, e.g. "rf_injections".
+std::string budget_key(const fault::Stratum& s) {
+  return std::string(s.label) + "_injections";
+}
+
+}  // namespace
 
 std::string_view job_kind_name(JobKind k) {
   return k == JobKind::Campaign ? "campaign" : "beam";
@@ -34,26 +44,17 @@ Value spec_to_json(const JobSpec& spec) {
     c.set("injector", spec.injector);
     Value b = Value::object();
     b.set("injections_per_kind", spec.budget.injections_per_kind);
-    b.set("rf_injections", spec.budget.rf_injections);
-    b.set("pred_injections", spec.budget.pred_injections);
-    b.set("ia_injections", spec.budget.ia_injections);
-    b.set("store_value_injections", spec.budget.store_value_injections);
-    b.set("store_addr_injections", spec.budget.store_addr_injections);
-    // Micro-architectural strata: serialized only when nonzero, so hashes
+    // Micro-architectural strata are serialized only when nonzero, so hashes
     // of pre-existing (architectural-only) specs do not move.
-    if (spec.budget.sched_injections != 0)
-      b.set("sched_injections", spec.budget.sched_injections);
-    if (spec.budget.scoreboard_injections != 0)
-      b.set("scoreboard_injections", spec.budget.scoreboard_injections);
-    if (spec.budget.cta_injections != 0)
-      b.set("cta_injections", spec.budget.cta_injections);
-    if (spec.budget.warp_control_injections != 0)
-      b.set("warp_control_injections", spec.budget.warp_control_injections);
+    for (const fault::Stratum& s : fault::kStrata) {
+      const unsigned n = spec.budget.*s.budget;
+      if (!fault::is_microarch(s.cls) || n != 0)
+        b.set(budget_key(s), n);
+    }
     c.set("budget", std::move(b));
     // Only serialized when enabled: hashes of pre-existing specs must not
     // move just because the field now exists.
     if (spec.fork_epochs != 0) c.set("fork_epochs", spec.fork_epochs);
-    if (!spec.fork_delta) c.set("fork_delta", spec.fork_delta);
     if (spec.propagation) c.set("propagation", spec.propagation);
     v.set("campaign", std::move(c));
   } else {
@@ -102,25 +103,21 @@ JobSpec spec_from_json(const Value& doc) {
     const Value& c = doc.at("campaign");
     spec.injector = json::get_string(c, "injector");
     const Value& b = c.at("budget");
-    auto u32 = [&](const char* key) {
+    auto u32 = [&](std::string_view key) {
       return static_cast<unsigned>(json::get_uint(b, key));
     };
     spec.budget.injections_per_kind = u32("injections_per_kind");
-    spec.budget.rf_injections = u32("rf_injections");
-    spec.budget.pred_injections = u32("pred_injections");
-    spec.budget.ia_injections = u32("ia_injections");
-    spec.budget.store_value_injections = u32("store_value_injections");
-    spec.budget.store_addr_injections = u32("store_addr_injections");
-    auto opt_u32 = [&](const char* key, unsigned& out) {
-      if (const Value* f = b.find(key)) out = static_cast<unsigned>(f->as_uint());
-    };
-    opt_u32("sched_injections", spec.budget.sched_injections);
-    opt_u32("scoreboard_injections", spec.budget.scoreboard_injections);
-    opt_u32("cta_injections", spec.budget.cta_injections);
-    opt_u32("warp_control_injections", spec.budget.warp_control_injections);
+    for (const fault::Stratum& s : fault::kStrata) {
+      const std::string key = budget_key(s);
+      if (!fault::is_microarch(s.cls))
+        spec.budget.*s.budget = u32(key);
+      else if (const Value* f = b.find(key))
+        spec.budget.*s.budget = static_cast<unsigned>(f->as_uint());
+    }
     if (const Value* fe = c.find("fork_epochs"))
       spec.fork_epochs = static_cast<unsigned>(fe->as_uint());
-    if (const Value* fd = c.find("fork_delta")) spec.fork_delta = fd->as_bool();
+    // "fork_delta" (delta snapshot restores, now always on) is a legacy key:
+    // older spec files may carry it and it is ignored.
     if (const Value* pr = c.find("propagation")) spec.propagation = pr->as_bool();
   } else {
     const Value& b = doc.at("beam");

@@ -8,8 +8,8 @@
 // shipped to another process, deduplicated, or used as a cache address.
 //
 // The determinism contract the spec builds on: engine results depend only on
-// spec fields (per-trial seeding makes them independent of worker count,
-// schedule, chunk size, and observability), so identical specs have
+// spec fields (per-trial seeding makes them independent of worker count
+// and observability), so identical specs have
 // bit-identical results and shard results merge into the unsharded one.
 #pragma once
 
@@ -77,11 +77,6 @@ struct JobSpec {
   /// planned corpus records how it was (or should be) executed; it is only
   /// serialized when nonzero, so existing spec hashes are unchanged.
   unsigned fork_epochs = 0;
-  /// Delta (dirty-tracking) snapshot restores for forked trials
-  /// (CampaignConfig::fork_delta). Bit-identity-neutral execution knob, part
-  /// of the spec so a planned corpus records how it ran; serialized only
-  /// when disabled, so existing spec hashes are unchanged.
-  bool fork_delta = true;
   /// Fault-propagation flight recorder (CampaignConfig::propagation). The
   /// observer is outcome-neutral but the flag is part of the spec so a cached
   /// result records whether it carries a propagation report; serialized only

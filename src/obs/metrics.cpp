@@ -297,9 +297,7 @@ const char* metric_help(const std::string& name) {
       {"gpurel_threadpool_queue_depth", "Current thread-pool queue depth"},
       {"gpurel_threadpool_queue_depth_peak", "Peak thread-pool queue depth"},
       {"gpurel_threadpool_chunk_pulls_total",
-       "Dynamic-schedule chunk claims by the thread pool"},
-      {"gpurel_threadpool_index_pulls_total",
-       "Dynamic-schedule index claims by the thread pool"},
+       "Guided-schedule chunk claims by the thread pool"},
   };
   for (const auto& [n, h] : kHelp)
     if (name == n) return h;

@@ -1,12 +1,13 @@
 // Checkpoint-fork equivalence: campaigns executed with fork batching
 // (CampaignConfig::fork_epochs > 0) must reproduce the unforked campaign bit
 // for bit — per-trial outcomes, per-trial simulated cycles, and every
-// aggregate tally — across worker counts, schedules, and epoch bucketings.
+// aggregate tally — across worker counts and epoch bucketings.
 // Also pins the Workload-level snapshot contract directly: a trial resumed
 // from a captured prefix with no fault behaves exactly like a fresh trial.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -38,22 +39,14 @@ struct RunOut {
   std::vector<std::uint64_t> cycles;
 };
 
-struct ForkKnobs {
-  bool delta = true;
-  bool shared_pool = true;
-};
-
 RunOut run(const Injector& inj, const WorkloadFactory& factory,
-           const InjectionBudget& budget, unsigned workers, Schedule sched,
-           unsigned fork_epochs, ForkKnobs knobs = {}) {
+           const InjectionBudget& budget, unsigned workers,
+           unsigned fork_epochs) {
   CampaignConfig cc;
   cc.budget() = budget;
   cc.seed = 0xf0f0;
   cc.workers = workers;
-  cc.schedule = sched;
   cc.fork_epochs = fork_epochs;
-  cc.fork_delta = knobs.delta;
-  cc.fork_shared_pool = knobs.shared_pool;
   RunOut out;
   cc.trial_outcomes_out = &out.outcomes;
   cc.trial_cycles_out = &out.cycles;
@@ -73,11 +66,11 @@ void expect_same_result(const CampaignResult& a, const CampaignResult& b) {
     expect_same_counts(a.per_kind[k].counts, b.per_kind[k].counts, "per_kind");
     EXPECT_EQ(a.per_kind[k].dynamic_sites, b.per_kind[k].dynamic_sites);
   }
-  expect_same_counts(a.rf, b.rf, "rf");
-  expect_same_counts(a.pred, b.pred, "pred");
-  expect_same_counts(a.ia, b.ia, "ia");
-  expect_same_counts(a.store_value, b.store_value, "store_value");
-  expect_same_counts(a.store_addr, b.store_addr, "store_addr");
+  for (const Stratum& s : kStrata) {
+    const std::string what(s.key);
+    expect_same_counts(a.*s.counts, b.*s.counts, what.c_str());
+    EXPECT_EQ(a.*s.sites, b.*s.sites) << what;
+  }
 }
 
 void expect_same_trials(const RunOut& a, const RunOut& b) {
@@ -106,7 +99,7 @@ TEST(ForkEquivalence, MxmAllModesAcrossWorkersAndEpochs) {
   budget.store_addr_injections = 4;
 
   const RunOut base =
-      run(*inj, factory, budget, 1, Schedule::Dynamic, /*fork_epochs=*/0);
+      run(*inj, factory, budget, 1, /*fork_epochs=*/0);
   ASSERT_GT(base.result.total_injections(), 0u);
   // A mix of outcomes, otherwise the equivalence below is vacuous.
   OutcomeCounts all;
@@ -116,18 +109,14 @@ TEST(ForkEquivalence, MxmAllModesAcrossWorkersAndEpochs) {
 
   for (const unsigned workers : {1u, 2u, 4u}) {
     const RunOut forked =
-        run(*inj, factory, budget, workers, Schedule::Dynamic, 4);
+        run(*inj, factory, budget, workers, 4);
     expect_same_trials(base, forked);
   }
   for (const unsigned epochs : {1u, 9u}) {
     const RunOut forked =
-        run(*inj, factory, budget, 2, Schedule::Dynamic, epochs);
+        run(*inj, factory, budget, 2, epochs);
     expect_same_trials(base, forked);
   }
-  // Static round-robin scheduling forks identically.
-  const RunOut forked_static =
-      run(*inj, factory, budget, 2, Schedule::StaticRoundRobin, 4);
-  expect_same_trials(base, forked_static);
 }
 
 TEST(ForkEquivalence, MultiLaunchWorkloadForksMidSequence) {
@@ -140,12 +129,31 @@ TEST(ForkEquivalence, MultiLaunchWorkloadForksMidSequence) {
   InjectionBudget budget;
   budget.injections_per_kind = 4;
 
-  const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
+  const RunOut base = run(*inj, factory, budget, 1, 0);
   ASSERT_GT(base.result.total_injections(), 0u);
   for (const unsigned epochs : {3u, 7u}) {
-    const RunOut forked = run(*inj, factory, budget, 2, Schedule::Dynamic, epochs);
+    const RunOut forked = run(*inj, factory, budget, 2, epochs);
     expect_same_trials(base, forked);
   }
+}
+
+TEST(ForkEquivalence, MicroArchStrataForkAcrossLaunches) {
+  // Micro-architectural strikes are bucketed by fire cycle, not site index;
+  // on a multi-launch workload the epochs straddle launch boundaries.
+  auto inj = make_injector("MicroArch");
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
+                          0x5eed, 0.05};
+  auto factory = [&] { return std::make_unique<Mergesort>(wc); };
+  InjectionBudget budget;
+  budget.injections_per_kind = 0;
+  budget.sched_injections = 4;
+  budget.scoreboard_injections = 4;
+  budget.cta_injections = 4;
+  budget.warp_control_injections = 4;
+
+  const RunOut base = run(*inj, factory, budget, 1, 0);
+  ASSERT_EQ(base.result.total_injections(), 16u);
+  expect_same_trials(base, run(*inj, factory, budget, 2, 4));
 }
 
 TEST(ForkEquivalence, HighAvfMicrobenchKeepsSdcProfile) {
@@ -158,11 +166,11 @@ TEST(ForkEquivalence, HighAvfMicrobenchKeepsSdcProfile) {
   InjectionBudget budget;
   budget.injections_per_kind = 12;
 
-  const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
+  const RunOut base = run(*inj, factory, budget, 1, 0);
   OutcomeCounts all;
   for (const Outcome o : base.outcomes) all.add(o);
   EXPECT_GT(all.sdc, 0u);  // integer chains: flips survive to the output
-  const RunOut forked = run(*inj, factory, budget, 4, Schedule::Dynamic, 5);
+  const RunOut forked = run(*inj, factory, budget, 4, 5);
   expect_same_trials(base, forked);
 }
 
@@ -184,42 +192,19 @@ TEST(ForkEquivalence, DeviceSteppedWorkloadsForkAcrossWorkersAndEpochs) {
 
   for (const auto& factory : factories) {
     ASSERT_TRUE(factory()->fork_safe());
-    const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
+    const RunOut base = run(*inj, factory, budget, 1, 0);
     ASSERT_GT(base.result.total_injections(), 0u);
     for (const unsigned workers : {1u, 2u, 4u}) {
       const RunOut forked =
-          run(*inj, factory, budget, workers, Schedule::Dynamic, 4);
+          run(*inj, factory, budget, workers, 4);
       expect_same_trials(base, forked);
     }
     for (const unsigned epochs : {1u, 6u}) {
       const RunOut forked =
-          run(*inj, factory, budget, 2, Schedule::Dynamic, epochs);
+          run(*inj, factory, budget, 2, epochs);
       expect_same_trials(base, forked);
     }
   }
-}
-
-TEST(ForkEquivalence, DeltaRestoreMatchesFullRestore) {
-  // Campaign level: delta restores on and off must produce the same trials
-  // bit for bit (and both must match the unforked campaign).
-  auto inj = make_injector("SASSIFI");
-  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
-                          0x5eed, 0.05};
-  auto factory = [&] {
-    return std::make_unique<MxM>(wc, Precision::Single, 16);
-  };
-  InjectionBudget budget;
-  budget.injections_per_kind = 5;
-  budget.rf_injections = 5;
-
-  const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
-  ASSERT_GT(base.result.total_injections(), 0u);
-  const RunOut full = run(*inj, factory, budget, 2, Schedule::Dynamic, 4,
-                          {/*delta=*/false, /*shared_pool=*/true});
-  const RunOut delta = run(*inj, factory, budget, 2, Schedule::Dynamic, 4,
-                           {/*delta=*/true, /*shared_pool=*/true});
-  expect_same_trials(base, full);
-  expect_same_trials(base, delta);
 }
 
 TEST(ForkEquivalence, DeltaFastPathRestoresFewerBytesSameResult) {
@@ -256,9 +241,9 @@ TEST(ForkEquivalence, DeltaFastPathRestoresFewerBytesSameResult) {
   EXPECT_LT(fast_bytes, full_bytes);
 }
 
-TEST(ForkEquivalence, SharedSnapshotPoolMatchesPerWorkerCapture) {
-  // One shared capture pass and per-worker lazy captures must agree bit for
-  // bit with each other and with the unforked campaign.
+TEST(ForkEquivalence, SharedSnapshotPoolServesEveryWorker) {
+  // One capture pass on the reference instance serves all three workers'
+  // forked trials, bit for bit equal to the unforked campaign.
   auto inj = make_injector("NVBitFI");
   const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
                           0x5eed, 0.05};
@@ -266,14 +251,9 @@ TEST(ForkEquivalence, SharedSnapshotPoolMatchesPerWorkerCapture) {
   InjectionBudget budget;
   budget.injections_per_kind = 4;
 
-  const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
+  const RunOut base = run(*inj, factory, budget, 1, 0);
   ASSERT_GT(base.result.total_injections(), 0u);
-  const RunOut shared = run(*inj, factory, budget, 3, Schedule::Dynamic, 4,
-                            {/*delta=*/true, /*shared_pool=*/true});
-  const RunOut per_worker = run(*inj, factory, budget, 3, Schedule::Dynamic, 4,
-                                {/*delta=*/true, /*shared_pool=*/false});
-  expect_same_trials(base, shared);
-  expect_same_trials(base, per_worker);
+  expect_same_trials(base, run(*inj, factory, budget, 3, 4));
 }
 
 TEST(ForkEquivalence, NonForkSafeWorkloadFallsBackUnchanged) {
@@ -287,8 +267,8 @@ TEST(ForkEquivalence, NonForkSafeWorkloadFallsBackUnchanged) {
   InjectionBudget budget;
   budget.injections_per_kind = 2;
 
-  const RunOut base = run(*inj, factory, budget, 1, Schedule::Dynamic, 0);
-  const RunOut forked = run(*inj, factory, budget, 2, Schedule::Dynamic, 4);
+  const RunOut base = run(*inj, factory, budget, 1, 0);
+  const RunOut forked = run(*inj, factory, budget, 2, 4);
   expect_same_trials(base, forked);
 }
 

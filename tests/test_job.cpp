@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -142,6 +143,21 @@ TEST(JobShardTest, ForkBatchedJobReproducesPlainResult) {
             campaign_result_to_json(*b.campaign).dump());
 }
 
+// Delta snapshot restores used to be a spec field, serialized only when
+// disabled. Spec files written with it still decode, the key is ignored
+// (restores are always delta now), and the job produces the same bytes.
+TEST(JobSpecTest, LegacyForkDeltaKeyIsAcceptedAndIgnored) {
+  JobSpec forked = reference_campaign_spec();
+  forked.fork_epochs = 4;
+  json::Value doc = spec_to_json(forked);
+  json::Value campaign = doc.at("campaign");
+  campaign.set("fork_delta", false);
+  doc.set("campaign", std::move(campaign));
+  const JobSpec legacy = spec_from_json(doc);
+  EXPECT_EQ(canonical_json(legacy), canonical_json(forked));
+  EXPECT_EQ(result_dump(run_job(legacy)), result_dump(run_job(forked)));
+}
+
 TEST(JobSpecTest, RoundTripsThroughJson) {
   for (const JobSpec& spec :
        {reference_campaign_spec(), with_shard(reference_beam_spec(), 2, 5)}) {
@@ -226,6 +242,37 @@ TEST(JobResultTest, RoundTripsAreByteIdentical) {
     const JobResult back = result_from_json(json::Value::parse(bytes));
     EXPECT_EQ(result_dump(back), bytes);
   }
+}
+
+// The per_kind array carries one entry per unit kind in kind order; a
+// document with a duplicate, missing or reordered kind is corrupt and must
+// be rejected, not silently decoded with zeroed or overwritten strata.
+TEST(JobResultTest, CampaignPerKindMustListEveryKindInOrder) {
+  const JobResult r = run_job(reference_campaign_spec());
+  const json::Value good = campaign_result_to_json(*r.campaign);
+  ASSERT_NO_THROW(campaign_result_from_json(good));
+  const std::vector<json::Value> kinds = good.at("per_kind").items();
+  ASSERT_GE(kinds.size(), 2u);
+
+  auto with_kinds = [&](const std::vector<json::Value>& entries) {
+    json::Value doc = good;
+    json::Value arr = json::Value::array();
+    for (const json::Value& e : entries) arr.push_back(e);
+    doc.set("per_kind", std::move(arr));
+    return doc;
+  };
+  std::vector<json::Value> duplicate = kinds;
+  duplicate[1] = kinds[0];
+  std::vector<json::Value> missing = kinds;
+  missing.pop_back();
+  std::vector<json::Value> swapped = kinds;
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_THROW(campaign_result_from_json(with_kinds(duplicate)),
+               std::runtime_error);
+  EXPECT_THROW(campaign_result_from_json(with_kinds(missing)),
+               std::runtime_error);
+  EXPECT_THROW(campaign_result_from_json(with_kinds(swapped)),
+               std::runtime_error);
 }
 
 TEST(JobResultTest, RejectsVersionAndTypeMismatches) {
@@ -366,21 +413,6 @@ TEST(JobCheckpointTest, ForeignCheckpointIsIgnored) {
   RunOptions opts;
   opts.checkpoint_path = ckpt.string();
   EXPECT_EQ(result_dump(run_job(spec, opts)), golden);
-}
-
-TEST(JobCheckpointTest, CheckpointsRequireDynamicSchedule) {
-  const auto injector = fault::make_injector("NVBitFI");
-  const JobSpec spec = reference_campaign_spec();
-  const auto factory = kernels::workload_factory(
-      spec.entry.base, spec.entry.precision,
-      {spec.device, spec.profile, spec.input_seed, spec.scale});
-  fault::CampaignConfig cc;
-  cc.budget() = spec.budget;
-  cc.schedule = fault::Schedule::StaticRoundRobin;
-  cc.checkpoint_every = 8;
-  cc.on_checkpoint = [](const fault::CampaignCheckpoint&) {};
-  EXPECT_THROW(fault::run_campaign(*injector, factory, cc),
-               std::invalid_argument);
 }
 
 // ---- runner validation ----------------------------------------------------

@@ -5,11 +5,16 @@
 // classifier must implement the documented taxonomy.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "arch/gpu_config.hpp"
+#include "common/json.hpp"
+#include "common/telemetry.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "kernels/matmul.hpp"
@@ -93,6 +98,42 @@ TEST(Propagation, RecordsByteIdenticalAcrossWorkersAndForkEpochs) {
       EXPECT_EQ(other.records[t].to_json().dump(), base_lines[t])
           << "trial " << t << " at " << v.workers << " workers, "
           << v.fork_epochs << " fork epochs";
+  }
+}
+
+TEST(Propagation, TelemetryRecordsAreTheRecordDocuments) {
+  // Each propagation_record JSONL line, minus the sink's own event/t_ms
+  // head, is byte-for-byte the record's to_json() document, in trial order.
+  auto inj = make_injector("SASSIFI");
+  const std::string path = testing::TempDir() + "gpurel_prop_records.jsonl";
+  std::remove(path.c_str());
+  std::vector<PropagationRecord> records;
+  {
+    telemetry::Sink sink(path);
+    CampaignConfig cc;
+    cc.budget() = small_budget();
+    cc.seed = 0xf0f0;
+    cc.workers = 2;
+    cc.propagation = true;
+    cc.propagation_records_out = &records;
+    cc.telemetry = &sink;
+    run_campaign(*inj, mxm_factory(*inj), cc);
+  }
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);)
+      if (line.find("\"event\":\"propagation_record\"") != std::string::npos)
+        lines.push_back(line);
+  }
+  std::remove(path.c_str());
+  ASSERT_EQ(lines.size(), records.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const json::Value event = json::Value::parse(lines[i]);
+    json::Value body = json::Value::object();
+    for (const auto& [key, value] : event.members())
+      if (key != "event" && key != "t_ms") body.set(key, value);
+    EXPECT_EQ(body.dump(), records[i].to_json().dump()) << "record " << i;
   }
 }
 

@@ -8,11 +8,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/telemetry.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
@@ -168,54 +168,29 @@ TEST(Telemetry, CampaignEmitsStartChunkEnd) {
   std::remove(path.c_str());
 }
 
-// Regression: a static round-robin shard completes the strided position set
-// {shard, shard+workers, ...}, but its chunk event used to claim the
-// contiguous range [shard, shard+n) — overlapping the other shards' reports
-// and overstating early progress. The event now spells out the stride.
-TEST(Telemetry, StaticScheduleChunksReportStride) {
-  const std::string path = temp_path("static_chunks");
-  std::uint64_t total_trials = 0;
+TEST(Telemetry, JsonObjectEventsCarryTheObjectsMembersVerbatim) {
+  const std::string path = temp_path("json_object");
+  json::Value doc = json::Value::object();
+  doc.set("schema_version", 1);
+  doc.set("name", "a \"quoted\" name");
+  doc.set("ratio", 0.1);
+  doc.set("fired", true);
   {
     Sink sink(path);
-    auto inj = fault::make_injector("SASSIFI");
-    const core::WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2),
-                                  inj->profile(), 0x5eed, 0.05};
-    fault::CampaignConfig cc;
-    cc.injections_per_kind = 4;
-    cc.seed = 11;
-    cc.workers = 3;
-    cc.schedule = fault::Schedule::StaticRoundRobin;
-    cc.telemetry = &sink;
-    const auto r = fault::run_campaign(
-        *inj,
-        [&] {
-          return std::make_unique<kernels::MxM>(wc, core::Precision::Single, 16);
-        },
-        cc);
-    total_trials = r.total_injections();
-    ASSERT_GT(total_trials, 0u);
+    sink.emit("record", doc);
+    sink.emit("empty", json::Value::object());
   }
   const auto lines = read_lines(path);
-  std::uint64_t counted = 0;
-  std::set<std::string> begins;
-  std::size_t chunks = 0;
-  for (const auto& line : lines) {
-    if (line.find("\"event\":\"campaign_chunk\"") == std::string::npos) continue;
-    ++chunks;
-    // One chunk event per shard: stride == worker count, disjoint begins
-    // (the shard index), per-shard counts summing to the campaign total.
-    EXPECT_NE(line.find("\"stride\":3"), std::string::npos) << line;
-    EXPECT_EQ(line.find("\"end\":"), std::string::npos) << line;
-    const auto b = line.find("\"begin\":");
-    ASSERT_NE(b, std::string::npos) << line;
-    EXPECT_TRUE(begins.insert(line.substr(b, line.find(',', b) - b)).second)
-        << line;
-    const auto c = line.find("\"count\":");
-    ASSERT_NE(c, std::string::npos) << line;
-    counted += std::stoull(line.substr(c + 8));
-  }
-  EXPECT_EQ(chunks, 3u);
-  EXPECT_EQ(counted, total_trials);
+  ASSERT_EQ(lines.size(), 2u);
+  for (const auto& line : lines)
+    EXPECT_TRUE(looks_like_json_object(line)) << line;
+  // After the event/t_ms head, the line is the object's own canonical dump.
+  const std::string body = doc.dump();
+  ASSERT_EQ(lines[0].rfind("{\"event\":\"record\",\"t_ms\":", 0), 0u);
+  EXPECT_EQ(lines[0].substr(lines[0].size() - (body.size() - 1)),
+            body.substr(1));
+  EXPECT_EQ(lines[1].rfind("{\"event\":\"empty\",\"t_ms\":", 0), 0u);
+  EXPECT_EQ(lines[1].find(",}"), std::string::npos) << lines[1];
   std::remove(path.c_str());
 }
 

@@ -24,34 +24,15 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
   SUCCEED();
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(500);
-  parallel_for(pool, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroCount) {
-  ThreadPool pool(2);
-  parallel_for(pool, 0, [](std::size_t) { FAIL(); });
-  SUCCEED();
-}
-
-TEST(ThreadPool, ParallelForPropagatesException) {
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(pool, 10,
-                            [](std::size_t i) {
-                              if (i == 5) throw std::runtime_error("boom");
-                            }),
-               std::runtime_error);
-}
-
 TEST(ThreadPool, ResultsIndependentOfWorkerCount) {
   auto run = [](std::size_t workers) {
     ThreadPool pool(workers);
     std::vector<long> out(200, 0);
-    parallel_for(pool, out.size(),
-                 [&](std::size_t i) { out[i] = static_cast<long>(i * i); });
+    parallel_chunks(pool, out.size(),
+                    [&](std::size_t, std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i)
+                        out[i] = static_cast<long>(i * i);
+                    });
     return std::accumulate(out.begin(), out.end(), 0L);
   };
   EXPECT_EQ(run(1), run(7));
@@ -80,54 +61,26 @@ TEST(ThreadPool, ShutdownIsIdempotent) {
   EXPECT_EQ(count.load(), 10);  // shutdown drains the queue before joining
 }
 
-TEST(ThreadPool, ParallelForFirstExceptionWins) {
-  // A single worker runs indices in order, so the first throw (i == 3) is
-  // deterministically the first in completion order and must be the one
-  // rethrown — even though i == 7 also throws later.
-  ThreadPool pool(1);
-  try {
-    parallel_for(pool, 10, [](std::size_t i) {
-      if (i == 3) throw std::runtime_error("first");
-      if (i == 7) throw std::logic_error("second");
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "first");
-  }
-}
-
-TEST(ThreadPool, ParallelForRunsEveryIndexDespiteThrows) {
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(64);
-  EXPECT_THROW(parallel_for(pool, hits.size(),
-                            [&](std::size_t i) {
-                              hits[i].fetch_add(1);
-                              if (i % 8 == 0) throw std::runtime_error("boom");
-                            }),
-               std::runtime_error);
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);  // throwing does not skip work
-}
-
 TEST(ThreadPool, ParallelChunksCoversEveryIndexOnce) {
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{200}, std::size_t{0}}) {
+  for (const std::size_t count : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{200}}) {
     ThreadPool pool(3);
-    std::vector<std::atomic<int>> hits(200);
-    parallel_chunks(pool, hits.size(), chunk,
+    std::vector<std::atomic<int>> hits(count);
+    parallel_chunks(pool, hits.size(),
                     [&](std::size_t, std::size_t begin, std::size_t end) {
-                      ASSERT_LE(begin, end);
+                      ASSERT_LT(begin, end);
                       ASSERT_LE(end, hits.size());
                       for (std::size_t t = begin; t < end; ++t)
                         hits[t].fetch_add(1);
                     });
-    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "chunk=" << chunk;
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "count=" << count;
   }
 }
 
 TEST(ThreadPool, ParallelChunksPullerIdsAreDense) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> by_puller(pool.size());
-  parallel_chunks(pool, 100, 4,
+  parallel_chunks(pool, 100,
                   [&](std::size_t puller, std::size_t begin, std::size_t end) {
                     ASSERT_LT(puller, by_puller.size());
                     by_puller[puller].fetch_add(static_cast<int>(end - begin));
@@ -143,20 +96,57 @@ TEST(ThreadPool, ParallelChunksPropagatesExceptionAndAbandons) {
   ThreadPool pool(1);
   std::size_t ran = 0;
   EXPECT_THROW(
-      parallel_chunks(pool, 100, 10,
+      parallel_chunks(pool, 100,
                       [&](std::size_t, std::size_t begin, std::size_t end) {
                         ran += end - begin;
-                        if (begin == 20) throw std::runtime_error("boom");
+                        if (begin == 16) throw std::runtime_error("boom");
                       }),
       std::runtime_error);
-  EXPECT_EQ(ran, 30u);  // chunks [0,10), [10,20), [20,30) — nothing after
+  EXPECT_EQ(ran, 24u);  // guided chunks [0,8), [8,16), [16,24) — nothing after
+}
+
+TEST(ThreadPool, ParallelChunksFirstExceptionWins) {
+  // A single puller runs chunks in order, so the first throw is
+  // deterministically the first in completion order and must be the one
+  // rethrown.
+  ThreadPool pool(1);
+  try {
+    parallel_chunks(pool, 100, [](std::size_t, std::size_t begin, std::size_t) {
+      if (begin == 8) throw std::runtime_error("first");
+      if (begin == 16) throw std::logic_error("second");
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
 }
 
 TEST(ThreadPool, ParallelChunksZeroCount) {
   ThreadPool pool(2);
-  parallel_chunks(pool, 0, 4,
+  parallel_chunks(pool, 0,
                   [](std::size_t, std::size_t, std::size_t) { FAIL(); });
   SUCCEED();
+}
+
+TEST(ThreadPool, RunPerWorkerBuildsOneStatePerPullingWorker) {
+  for (const unsigned workers : {1u, 3u}) {
+    std::vector<std::atomic<int>> hits(300);
+    std::atomic<int> made{0};
+    // A state is the worker id it was built for (worker 0's is given).
+    const std::vector<int> states = run_per_worker(
+        workers, hits.size(), 100,
+        [&] { return ++made; },
+        [&](int& state, std::size_t worker, std::size_t begin,
+            std::size_t end) {
+          EXPECT_EQ(worker == 0, state == 100);
+          for (std::size_t t = begin; t < end; ++t) hits[t].fetch_add(1);
+        });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << workers << " workers";
+    ASSERT_EQ(states.size(), workers);
+    EXPECT_EQ(states[0], 100);
+    // make() ran at most once per other worker: states are per worker.
+    EXPECT_LE(made.load(), static_cast<int>(workers) - 1);
+  }
 }
 
 TEST(ThreadPool, GuidedChunkShrinksToOne) {

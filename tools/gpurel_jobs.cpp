@@ -24,6 +24,7 @@
 //
 // Exit status: 0 on success, 1 on bad usage, 2 on execution/validation
 // failure.
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "job/runner.hpp"
 #include "job/serialize.hpp"
@@ -49,7 +51,7 @@ int usage() {
                "        [--injector=SASSIFI|NVBitFI|MicroArch --injections=N\n"
                "         --rf=N --pred=N --ia=N --store-value=N --store-addr=N\n"
                "         --sched=N --scoreboard=N --cta=N --warp-control=N\n"
-               "         --fork-epochs=N --fork-delta[=false] --propagation]\n"
+               "         --fork-epochs=N --propagation]\n"
                "        [--ecc[=false] --mode=accelerated|natural --runs=N\n"
                "         --flux-scale=X]\n"
                "        [--seed=N --input-seed=N --scale=X]\n"
@@ -112,17 +114,14 @@ int cmd_plan(const Cli& cli) {
       return static_cast<unsigned>(cli.get_int(flag, def));
     };
     spec.budget.injections_per_kind = u("injections", 120);
-    spec.budget.rf_injections = u("rf", 0);
-    spec.budget.pred_injections = u("pred", 0);
-    spec.budget.ia_injections = u("ia", 0);
-    spec.budget.store_value_injections = u("store-value", 0);
-    spec.budget.store_addr_injections = u("store-addr", 0);
-    spec.budget.sched_injections = u("sched", 0);
-    spec.budget.scoreboard_injections = u("scoreboard", 0);
-    spec.budget.cta_injections = u("cta", 0);
-    spec.budget.warp_control_injections = u("warp-control", 0);
+    // One budget flag per stratum, named after its label: --rf, --store-value,
+    // --sched, --warp-control, ...
+    for (const fault::Stratum& s : fault::kStrata) {
+      std::string flag(s.label);
+      std::replace(flag.begin(), flag.end(), '_', '-');
+      spec.budget.*s.budget = u(flag.c_str(), 0);
+    }
     spec.fork_epochs = u("fork-epochs", 0);
-    spec.fork_delta = cli.get_bool("fork-delta", true);
     spec.propagation = cli.get_bool("propagation", false);
   } else {
     spec.kind = job::JobKind::Beam;
