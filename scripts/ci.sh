@@ -266,11 +266,15 @@ ctest --test-dir build-tsan -R '^test_(thread_pool|determinism|fork_equivalence|
 echo "==> UBSan quick leg (executor arithmetic + serializers)"
 # Always-on subset of the full ubsan preset: the RNG/JSON/fault/executor and
 # arithmetic-fuzz tests, where conversion and float-divide UB would corrupt
-# results silently. -fno-sanitize-recover turns any hit into a test failure.
+# results silently, and the sched goldens, which drive every registered
+# workload through both lane drivers. -fno-sanitize-recover turns any hit
+# into a test failure.
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${JOBS}" --target \
-  test_rng test_json test_fault test_executor test_fuzz_arith
-ctest --test-dir build-ubsan -R '^test_(rng|json|fault|executor|fuzz_arith)$' \
+  test_rng test_json test_fault test_executor test_fuzz_arith \
+  test_sched_equivalence
+ctest --test-dir build-ubsan \
+  -R '^test_(rng|json|fault|executor|fuzz_arith|sched_equivalence)$' \
   -j "${JOBS}" --output-on-failure
 
 echo "==> Release perfbench smoke (pinned digests + BENCHMARK.json catalogue)"
@@ -303,7 +307,7 @@ if [[ "${1:-}" == "ubsan" ]]; then
   cmake --preset ubsan
   cmake --build --preset ubsan -j "${JOBS}" --target \
     test_rng test_json test_fault test_executor test_fuzz_arith \
-    test_fuzz_control test_isa_semantics
+    test_fuzz_control test_isa_semantics test_sched_equivalence
   ctest --preset ubsan -j "${JOBS}"
 fi
 

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "common/telemetry.hpp"  // append_json_string
@@ -395,6 +396,13 @@ Value Value::parse(std::string_view text) { return Parser(text).run(); }
 
 std::uint64_t get_uint(const Value& obj, std::string_view key) {
   return field(obj, key).as_uint();
+}
+std::uint32_t get_u32(const Value& obj, std::string_view key) {
+  const std::uint64_t v = get_uint(obj, key);
+  if (v > std::numeric_limits<std::uint32_t>::max())
+    throw std::runtime_error("json: \"" + std::string(key) + "\" = " +
+                             std::to_string(v) + " does not fit 32 bits");
+  return static_cast<std::uint32_t>(v);
 }
 std::int64_t get_int(const Value& obj, std::string_view key) {
   return field(obj, key).as_int();

@@ -113,6 +113,9 @@ void append_shortest_double(std::string& out, double v);
 
 /// Convenience: parse typed fields with error messages naming the key.
 std::uint64_t get_uint(const Value& obj, std::string_view key);
+/// get_uint for a 32-bit field: a value above UINT32_MAX throws instead of
+/// wrapping (a wrapped count or index would decode a different job).
+std::uint32_t get_u32(const Value& obj, std::string_view key);
 std::int64_t get_int(const Value& obj, std::string_view key);
 double get_double(const Value& obj, std::string_view key);
 bool get_bool(const Value& obj, std::string_view key);

@@ -261,7 +261,7 @@ std::optional<fault::CampaignResult> Study::run_injection(
   // architectural (SASSIFI/NVBitFI) specs keep their budgets — and cache
   // keys — byte-identical.
   const bool aux =
-      aux_modes && injector.supports(fault::FaultModel::RegisterFile);
+      aux_modes && injector.reaches(fault::SiteClass::RegisterFile);
   for (const fault::Stratum& s : fault::kStrata) {
     const bool granted =
         fault::is_microarch(s.cls) ? injector.reaches(s.cls) : aux;

@@ -159,7 +159,7 @@ class CountingObserver final : public sim::SimObserver {
 /// One-shot single-fault observer.
 class InjectionObserver final : public sim::SimObserver {
  public:
-  FaultModel mode = FaultModel::InstructionOutput;
+  SiteClass mode = SiteClass::InstructionOutput;
   const Injector* inj = nullptr;
   UnitKind target_kind = UnitKind::OTHER;
   std::uint64_t target_index = 0;   // among this mode's eligible sites
@@ -178,11 +178,11 @@ class InjectionObserver final : public sim::SimObserver {
   // the one-shot fault has fired (and any store-operand latch is restored),
   // every remaining hook call would be a no-op, so all claims are dropped and
   // the executor re-polls the mask at the next cycle boundary — the rest of
-  // the trial simulates on the bare whole-warp paths.
+  // the trial simulates on the executor's hook-free lane driver.
   unsigned wants() const override {
     if (fired && !restore_pending_) return 0u;
     const bool store_mode =
-        mode == FaultModel::StoreValue || mode == FaultModel::StoreAddress;
+        mode == SiteClass::StoreValue || mode == SiteClass::StoreAddress;
     return store_mode ? (kWantsBeforeExec | kWantsAfterExec) : kWantsAfterExec;
   }
 
@@ -191,14 +191,14 @@ class InjectionObserver final : public sim::SimObserver {
   // operand latch, not the register file).
   void before_exec(sim::ExecContext& ctx) override {
     if (fired) return;
-    if (mode != FaultModel::StoreValue && mode != FaultModel::StoreAddress)
+    if (mode != SiteClass::StoreValue && mode != SiteClass::StoreAddress)
       return;
     const bool is_store =
         ctx.instr->op == isa::Opcode::STG || ctx.instr->op == isa::Opcode::STS;
     if (!is_store) return;
     if (store_count_++ != target_index) return;
     const std::uint8_t reg =
-        mode == FaultModel::StoreAddress ? ctx.instr->src[0] : ctx.instr->src[1];
+        mode == SiteClass::StoreAddress ? ctx.instr->src[0] : ctx.instr->src[1];
     fired = true;
     if (prop != nullptr)
       prop->note_injection(ctx,
@@ -221,7 +221,7 @@ class InjectionObserver final : public sim::SimObserver {
     }
     if (fired) return;
     switch (mode) {
-      case FaultModel::InstructionOutput: {
+      case SiteClass::InstructionOutput: {
         if (!inj->eligible_output(*ctx.instr)) return;
         if (isa::unit_kind(ctx.instr->op) != target_kind) return;
         if (count_++ != target_index) return;
@@ -240,7 +240,7 @@ class InjectionObserver final : public sim::SimObserver {
                                bsel, reg);
         break;
       }
-      case FaultModel::Predicate: {
+      case SiteClass::Predicate: {
         if (!isa::writes_predicate(ctx.instr->op)) return;
         if (count_++ != target_index) return;
         const std::uint8_t p = ctx.instr->dst & 0x07;
@@ -254,7 +254,7 @@ class InjectionObserver final : public sim::SimObserver {
                                p, p);
         break;
       }
-      case FaultModel::InstructionAddress: {
+      case SiteClass::InstructionAddress: {
         if (count_++ != target_index) return;
         // ia_bit is sampled in [0, ia_pc_bits(workload)), so the flip is
         // applied verbatim — every sampled bit is reachable.
@@ -265,7 +265,7 @@ class InjectionObserver final : public sim::SimObserver {
               ctx, obs::PropagationObserver::Seed::ControlFlow, ia_bit, 0);
         break;
       }
-      case FaultModel::RegisterFile: {
+      case SiteClass::RegisterFile: {
         if (count_++ != target_index) return;
         ctx.regs->set(static_cast<std::uint8_t>(rf_reg),
                       flip_bit32(ctx.regs->get(static_cast<std::uint8_t>(rf_reg)),
@@ -279,9 +279,11 @@ class InjectionObserver final : public sim::SimObserver {
                                bit % 32, rf_reg);
         break;
       }
-      case FaultModel::StoreValue:
-      case FaultModel::StoreAddress:
+      case SiteClass::StoreValue:
+      case SiteClass::StoreAddress:
         break;  // handled in before_exec
+      default:
+        break;  // micro-architectural classes strike via MicroArchObserver
     }
   }
 
@@ -500,7 +502,7 @@ CampaignPlan plan_campaign(const Injector& injector, core::Instance& ref,
   // state to strike; clamping the sample range to 1 would inject into a
   // register the program does not own — always masked, silently diluting
   // the reported RF AVF.
-  if (config.rf_injections > 0 && injector.supports(FaultModel::RegisterFile) &&
+  if (config.rf_injections > 0 && injector.reaches(SiteClass::RegisterFile) &&
       w.max_regs_per_thread() == 0)
     throw std::invalid_argument(
         "run_campaign: RegisterFile injections requested but " + w.name() +
@@ -673,7 +675,7 @@ void TrialBody::run(core::Instance& inst, std::size_t t) const {
     observer = &march.emplace(plan.layout, desc.cls, sample.target_index,
                               sample.fire_cycle);
   } else {
-    inj.mode = fault_model_of(desc.cls);
+    inj.mode = desc.cls;
     inj.inj = &injector;
     inj.bit = sample.bit;
     inj.ia_bit = sample.ia_bit;

@@ -64,9 +64,6 @@ class Injector {
   /// only on Volta+).
   virtual bool can_instrument(const core::Workload& w,
                               const arch::GpuConfig& gpu) const = 0;
-
-  /// Legacy-mode compat shim over the reach descriptor.
-  bool supports(FaultModel m) const { return reaches(site_class_of(m)); }
 };
 
 /// Construct a registered injector by name ("SASSIFI", "NVBitFI",

@@ -4,18 +4,6 @@
 
 namespace gpurel::fault {
 
-std::string_view fault_model_name(FaultModel m) {
-  switch (m) {
-    case FaultModel::InstructionOutput: return "IOV";
-    case FaultModel::RegisterFile: return "RF";
-    case FaultModel::Predicate: return "PR";
-    case FaultModel::InstructionAddress: return "IA";
-    case FaultModel::StoreValue: return "STV";
-    case FaultModel::StoreAddress: return "STA";
-  }
-  return "?";
-}
-
 std::string_view site_class_name(SiteClass c) {
   switch (c) {
     // The architectural classes keep their legacy model names: JobSpec

@@ -32,31 +32,16 @@
 
 namespace gpurel::fault {
 
-/// Legacy fault-model taxonomy (subset of SASSIFI's modes). Kept verbatim —
-/// JobSpec strings, telemetry model names, and hash goldens are written in
-/// terms of it — and mapped 1:1 onto the architectural site classes below.
-enum class FaultModel : std::uint8_t {
+/// Every class of machine state a fault can strike. The first six are the
+/// architectural classes (SASSIFI's fault modes); the rest are the
+/// micro-architectural classes only simulator-level injection can reach.
+enum class SiteClass : std::uint8_t {
   InstructionOutput,   // flip one bit of the destination after execution
   RegisterFile,        // flip one bit of a random allocated register
   Predicate,           // flip the predicate written by a SETP
   InstructionAddress,  // corrupt the warp PC after an instruction issues
   StoreValue,          // flip one bit of the value a store writes out
   StoreAddress,        // flip one bit of a store's address operand
-};
-
-std::string_view fault_model_name(FaultModel m);
-
-/// Every class of machine state a fault can strike. The first six values
-/// mirror FaultModel (same order and numeric values, so the compat shims
-/// below are casts); the rest are the micro-architectural classes only
-/// simulator-level injection can reach.
-enum class SiteClass : std::uint8_t {
-  InstructionOutput,
-  RegisterFile,
-  Predicate,
-  InstructionAddress,
-  StoreValue,
-  StoreAddress,
   Scheduler,       // per-SM wake caches, ready rings, round-robin cursors
   Scoreboard,      // per-warp register/predicate ready times
   CtaBookkeeping,  // resident-block tables: retire and barrier counts
@@ -74,16 +59,6 @@ std::string_view site_class_name(SiteClass c);
 constexpr bool is_microarch(SiteClass c) {
   return static_cast<std::size_t>(c) >= kArchSiteClasses &&
          c != SiteClass::kCount;
-}
-
-/// Compat shims: the legacy FaultModel enum embeds into SiteClass (and back,
-/// for the architectural classes). Both directions are value-preserving
-/// casts by construction.
-constexpr SiteClass site_class_of(FaultModel m) {
-  return static_cast<SiteClass>(m);
-}
-constexpr FaultModel fault_model_of(SiteClass c) {
-  return static_cast<FaultModel>(c);
 }
 
 /// One strikeable bit of machine state.

@@ -98,9 +98,7 @@ arch::GpuConfig gpu_from_json(const Value& doc) {
   arch::GpuConfig gpu;
   gpu.name = json::get_string(doc, "name");
   gpu.arch = architecture_from_name(json::get_string(doc, "arch"));
-  auto u32 = [&](const char* key) {
-    return static_cast<unsigned>(json::get_uint(doc, key));
-  };
+  auto u32 = [&](const char* key) { return json::get_u32(doc, key); };
   gpu.sm_count = u32("sm_count");
   gpu.warp_size = u32("warp_size");
   gpu.max_warps_per_sm = u32("max_warps_per_sm");

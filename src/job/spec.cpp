@@ -103,19 +103,15 @@ JobSpec spec_from_json(const Value& doc) {
     const Value& c = doc.at("campaign");
     spec.injector = json::get_string(c, "injector");
     const Value& b = c.at("budget");
-    auto u32 = [&](std::string_view key) {
-      return static_cast<unsigned>(json::get_uint(b, key));
-    };
-    spec.budget.injections_per_kind = u32("injections_per_kind");
+    spec.budget.injections_per_kind = json::get_u32(b, "injections_per_kind");
     for (const fault::Stratum& s : fault::kStrata) {
+      // Micro-architectural budget keys may be absent (older specs).
       const std::string key = budget_key(s);
-      if (!fault::is_microarch(s.cls))
-        spec.budget.*s.budget = u32(key);
-      else if (const Value* f = b.find(key))
-        spec.budget.*s.budget = static_cast<unsigned>(f->as_uint());
+      if (!fault::is_microarch(s.cls) || b.find(key) != nullptr)
+        spec.budget.*s.budget = json::get_u32(b, key);
     }
-    if (const Value* fe = c.find("fork_epochs"))
-      spec.fork_epochs = static_cast<unsigned>(fe->as_uint());
+    if (c.find("fork_epochs") != nullptr)
+      spec.fork_epochs = json::get_u32(c, "fork_epochs");
     // "fork_delta" (delta snapshot restores, now always on) is a legacy key:
     // older spec files may carry it and it is ignored.
     if (const Value* pr = c.find("propagation")) spec.propagation = pr->as_bool();
@@ -123,13 +119,13 @@ JobSpec spec_from_json(const Value& doc) {
     const Value& b = doc.at("beam");
     spec.ecc = json::get_bool(b, "ecc");
     spec.mode = beam_mode_from_name(json::get_string(b, "mode"));
-    spec.runs = static_cast<unsigned>(json::get_uint(b, "runs"));
+    spec.runs = json::get_u32(b, "runs");
     spec.flux_scale = json::get_double(b, "flux_scale");
   }
   {
     const Value& s = doc.at("shard");
-    spec.shard.index = static_cast<unsigned>(json::get_uint(s, "index"));
-    spec.shard.count = static_cast<unsigned>(json::get_uint(s, "count"));
+    spec.shard.index = json::get_u32(s, "index");
+    spec.shard.count = json::get_u32(s, "count");
   }
   return spec;
 }

@@ -1,6 +1,7 @@
 #include "sim/executor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -50,6 +51,12 @@ std::int32_t d2i_sat(double d) {
   if (d >= 2147483648.0) return std::numeric_limits<std::int32_t>::max();
   if (d <= -2147483648.0) return std::numeric_limits<std::int32_t>::min();
   return static_cast<std::int32_t>(d);
+}
+
+/// The DUE a failed load or store raises.
+DueKind mem_due(MemStatus st) {
+  return st == MemStatus::OutOfBounds ? DueKind::InvalidAddress
+                                      : DueKind::MisalignedAddress;
 }
 
 }  // namespace
@@ -623,150 +630,255 @@ void Executor::exec_mma(WarpRt& w, const Instr& in, std::uint64_t cycle,
   (void)pc;
 }
 
-bool Executor::exec_warp_bare(WarpRt& w, std::uint32_t exec_mask,
-                              const Instr& in) {
-  // Per-case lane loops in ascending lane order: with no exec hooks attached
-  // there is nothing to interleave between lanes, so this is bit-identical
-  // to the per-lane dispatch in exec_lane (which each case mirrors verbatim).
+template <typename ForLanes>
+void Executor::exec_lanes(WarpRt& w, const Instr& in, ForLanes&& for_lanes) {
+  // Operand decoding shared by every lane, hoisted out of the lane loops.
   const bool imm1 = (in.aux & isa::kAuxImmSrc1) != 0;
-  const auto imm_u32 = static_cast<std::uint32_t>(in.imm);
-  const std::uint8_t cmp_bits = in.aux & 0x07;
-
-#define GPUREL_FOR_LANES(body)                  \
-  for (unsigned l = 0; l < 32; ++l)             \
-    if ((exec_mask >> l) & 1u) {                \
-      ThreadRegs& r = w.lanes[l];               \
-      body;                                     \
-    }
+  const auto imm = static_cast<std::uint32_t>(in.imm);
+  const auto cmp = static_cast<CmpOp>(in.aux & 0x07);
+  const auto src1_u32 = [&](const ThreadRegs& r) {
+    return imm1 ? imm : r.get(in.src[1]);
+  };
+  const auto src1_f32 = [&](const ThreadRegs& r) {
+    return bits_f32(src1_u32(r));
+  };
+  // Most opcodes read and write only the lane's own registers.
+  const auto each = [&](auto&& body) {
+    for_lanes([&](ThreadRegs& r, unsigned, std::uint32_t&) { body(r); });
+  };
 
   switch (in.op) {
-    case Opcode::NOP:
-      return true;
+    // ---- FP32 ----
     case Opcode::FADD:
-      GPUREL_FOR_LANES(r.setf(in.dst, r.getf(in.src[0]) +
-                                          bits_f32(imm1 ? imm_u32
-                                                        : r.get(in.src[1]))))
-      return true;
+      each([&](ThreadRegs& r) { r.setf(in.dst, r.getf(in.src[0]) + src1_f32(r)); });
+      break;
     case Opcode::FMUL:
-      GPUREL_FOR_LANES(r.setf(in.dst, r.getf(in.src[0]) *
-                                          bits_f32(imm1 ? imm_u32
-                                                        : r.get(in.src[1]))))
-      return true;
+      each([&](ThreadRegs& r) { r.setf(in.dst, r.getf(in.src[0]) * src1_f32(r)); });
+      break;
     case Opcode::FFMA:
-      GPUREL_FOR_LANES(r.setf(in.dst, std::fma(r.getf(in.src[0]),
-                                               r.getf(in.src[1]),
-                                               r.getf(in.src[2]))))
-      return true;
+      each([&](ThreadRegs& r) {
+        r.setf(in.dst, std::fma(r.getf(in.src[0]), r.getf(in.src[1]), r.getf(in.src[2])));
+      });
+      break;
+    case Opcode::FMNMX:
+      each([&](ThreadRegs& r) {
+        r.setf(in.dst, in.aux & 1 ? std::fmax(r.getf(in.src[0]), r.getf(in.src[1]))
+                                  : std::fmin(r.getf(in.src[0]), r.getf(in.src[1])));
+      });
+      break;
     case Opcode::FSETP:
-      GPUREL_FOR_LANES(r.set_pred(
-          in.dst, cmp_eval(static_cast<CmpOp>(cmp_bits), r.getf(in.src[0]),
-                           bits_f32(imm1 ? imm_u32 : r.get(in.src[1])))))
-      return true;
+      each([&](ThreadRegs& r) {
+        r.set_pred(in.dst, cmp_eval(cmp, r.getf(in.src[0]), src1_f32(r)));
+      });
+      break;
+    // ---- FP64 ----
     case Opcode::DADD:
-      GPUREL_FOR_LANES(r.setd(in.dst, r.getd(in.src[0]) + r.getd(in.src[1])))
-      return true;
+      each([&](ThreadRegs& r) { r.setd(in.dst, r.getd(in.src[0]) + r.getd(in.src[1])); });
+      break;
     case Opcode::DMUL:
-      GPUREL_FOR_LANES(r.setd(in.dst, r.getd(in.src[0]) * r.getd(in.src[1])))
-      return true;
+      each([&](ThreadRegs& r) { r.setd(in.dst, r.getd(in.src[0]) * r.getd(in.src[1])); });
+      break;
     case Opcode::DFMA:
-      GPUREL_FOR_LANES(r.setd(in.dst, std::fma(r.getd(in.src[0]),
-                                               r.getd(in.src[1]),
-                                               r.getd(in.src[2]))))
-      return true;
+      each([&](ThreadRegs& r) {
+        r.setd(in.dst, std::fma(r.getd(in.src[0]), r.getd(in.src[1]), r.getd(in.src[2])));
+      });
+      break;
+    case Opcode::DSETP:
+      each([&](ThreadRegs& r) {
+        r.set_pred(in.dst, cmp_eval(cmp, r.getd(in.src[0]), r.getd(in.src[1])));
+      });
+      break;
+    // ---- FP16 ----
+    case Opcode::HADD:
+      each([&](ThreadRegs& r) {
+        r.seth(in.dst, half_add(r.geth(in.src[0]), r.geth(in.src[1])));
+      });
+      break;
+    case Opcode::HMUL:
+      each([&](ThreadRegs& r) {
+        r.seth(in.dst, half_mul(r.geth(in.src[0]), r.geth(in.src[1])));
+      });
+      break;
+    case Opcode::HFMA:
+      each([&](ThreadRegs& r) {
+        r.seth(in.dst, half_fma(r.geth(in.src[0]), r.geth(in.src[1]), r.geth(in.src[2])));
+      });
+      break;
+    case Opcode::HSETP:
+      each([&](ThreadRegs& r) {
+        r.set_pred(in.dst, cmp_eval(cmp, r.geth(in.src[0]).to_float(),
+                                    r.geth(in.src[1]).to_float()));
+      });
+      break;
+    // ---- INT32 ----
     case Opcode::IADD:
-      GPUREL_FOR_LANES(
-          r.set(in.dst, r.get(in.src[0]) + (imm1 ? imm_u32 : r.get(in.src[1]))))
-      return true;
+      each([&](ThreadRegs& r) { r.set(in.dst, r.get(in.src[0]) + src1_u32(r)); });
+      break;
     case Opcode::IMUL:
-      GPUREL_FOR_LANES(
-          r.set(in.dst, r.get(in.src[0]) * (imm1 ? imm_u32 : r.get(in.src[1]))))
-      return true;
+      each([&](ThreadRegs& r) { r.set(in.dst, r.get(in.src[0]) * src1_u32(r)); });
+      break;
     case Opcode::IMAD:
-      GPUREL_FOR_LANES(r.set(
-          in.dst, r.get(in.src[0]) * r.get(in.src[1]) + r.get(in.src[2])))
-      return true;
+      each([&](ThreadRegs& r) {
+        r.set(in.dst, r.get(in.src[0]) * r.get(in.src[1]) + r.get(in.src[2]));
+      });
+      break;
+    case Opcode::IMNMX:
+      each([&](ThreadRegs& r) {
+        const auto a = static_cast<std::int32_t>(r.get(in.src[0]));
+        const auto b = static_cast<std::int32_t>(r.get(in.src[1]));
+        r.set(in.dst, static_cast<std::uint32_t>((in.aux & 1) ? std::max(a, b)
+                                                              : std::min(a, b)));
+      });
+      break;
     case Opcode::ISETP:
-      GPUREL_FOR_LANES(r.set_pred(
-          in.dst,
-          cmp_eval(static_cast<CmpOp>(cmp_bits),
-                   static_cast<std::int32_t>(r.get(in.src[0])),
-                   static_cast<std::int32_t>(imm1 ? imm_u32
-                                                  : r.get(in.src[1])))))
-      return true;
+      each([&](ThreadRegs& r) {
+        r.set_pred(in.dst, cmp_eval(cmp, static_cast<std::int32_t>(r.get(in.src[0])),
+                                    static_cast<std::int32_t>(src1_u32(r))));
+      });
+      break;
     case Opcode::SHL:
-      GPUREL_FOR_LANES(r.set(in.dst, r.get(in.src[0]) << (in.imm & 31)))
-      return true;
+      each([&](ThreadRegs& r) { r.set(in.dst, r.get(in.src[0]) << (in.imm & 31)); });
+      break;
     case Opcode::SHR:
-      GPUREL_FOR_LANES(r.set(in.dst, r.get(in.src[0]) >> (in.imm & 31)))
-      return true;
+      each([&](ThreadRegs& r) { r.set(in.dst, r.get(in.src[0]) >> (in.imm & 31)); });
+      break;
     case Opcode::SHRS:
-      GPUREL_FOR_LANES(
-          r.set(in.dst, static_cast<std::uint32_t>(
-                            static_cast<std::int32_t>(r.get(in.src[0])) >>
-                            (in.imm & 31))))
-      return true;
+      each([&](ThreadRegs& r) {
+        r.set(in.dst, static_cast<std::uint32_t>(
+                          static_cast<std::int32_t>(r.get(in.src[0])) >> (in.imm & 31)));
+      });
+      break;
     case Opcode::LOP_AND:
-      GPUREL_FOR_LANES(
-          r.set(in.dst, r.get(in.src[0]) & (imm1 ? imm_u32 : r.get(in.src[1]))))
-      return true;
+      each([&](ThreadRegs& r) { r.set(in.dst, r.get(in.src[0]) & src1_u32(r)); });
+      break;
     case Opcode::LOP_OR:
-      GPUREL_FOR_LANES(
-          r.set(in.dst, r.get(in.src[0]) | (imm1 ? imm_u32 : r.get(in.src[1]))))
-      return true;
+      each([&](ThreadRegs& r) { r.set(in.dst, r.get(in.src[0]) | src1_u32(r)); });
+      break;
     case Opcode::LOP_XOR:
-      GPUREL_FOR_LANES(
-          r.set(in.dst, r.get(in.src[0]) ^ (imm1 ? imm_u32 : r.get(in.src[1]))))
-      return true;
+      each([&](ThreadRegs& r) { r.set(in.dst, r.get(in.src[0]) ^ src1_u32(r)); });
+      break;
+    // ---- SFU ----
+    // RCP/RSQ spell out the IEEE zero cases instead of dividing: the bit
+    // patterns are identical (1/±0 = ±Inf) but a literal division by zero is
+    // UB under -fsanitize=float-divide-by-zero.
+    case Opcode::MUFU_RCP:
+      each([&](ThreadRegs& r) {
+        const float x = r.getf(in.src[0]);
+        r.setf(in.dst, x == 0.0f ? std::copysign(
+                                       std::numeric_limits<float>::infinity(), x)
+                                 : 1.0f / x);
+      });
+      break;
+    case Opcode::MUFU_RSQ:
+      each([&](ThreadRegs& r) {
+        const float s = std::sqrt(r.getf(in.src[0]));
+        r.setf(in.dst, s == 0.0f ? std::copysign(
+                                       std::numeric_limits<float>::infinity(), s)
+                                 : 1.0f / s);
+      });
+      break;
+    case Opcode::MUFU_EX2:
+      each([&](ThreadRegs& r) { r.setf(in.dst, std::exp2(r.getf(in.src[0]))); });
+      break;
+    case Opcode::MUFU_LG2:
+      each([&](ThreadRegs& r) { r.setf(in.dst, std::log2(r.getf(in.src[0]))); });
+      break;
+    // ---- Conversions ----
+    case Opcode::I2F:
+      each([&](ThreadRegs& r) {
+        r.setf(in.dst, static_cast<float>(static_cast<std::int32_t>(r.get(in.src[0]))));
+      });
+      break;
+    case Opcode::F2I:
+      each([&](ThreadRegs& r) {
+        r.set(in.dst, static_cast<std::uint32_t>(f2i_sat(r.getf(in.src[0]))));
+      });
+      break;
+    case Opcode::F2H:
+      each([&](ThreadRegs& r) { r.seth(in.dst, Half::from_float(r.getf(in.src[0]))); });
+      break;
+    case Opcode::H2F:
+      each([&](ThreadRegs& r) { r.setf(in.dst, r.geth(in.src[0]).to_float()); });
+      break;
+    case Opcode::F2D:
+      each([&](ThreadRegs& r) {
+        r.setd(in.dst, static_cast<double>(r.getf(in.src[0])));
+      });
+      break;
+    case Opcode::D2F:
+      each([&](ThreadRegs& r) { r.setf(in.dst, static_cast<float>(r.getd(in.src[0]))); });
+      break;
+    case Opcode::I2D:
+      each([&](ThreadRegs& r) {
+        r.setd(in.dst, static_cast<double>(static_cast<std::int32_t>(r.get(in.src[0]))));
+      });
+      break;
+    case Opcode::D2I:
+      each([&](ThreadRegs& r) {
+        r.set(in.dst, static_cast<std::uint32_t>(d2i_sat(r.getd(in.src[0]))));
+      });
+      break;
+    // ---- Moves ----
     case Opcode::MOV:
-      GPUREL_FOR_LANES(r.set(in.dst, r.get(in.src[0])))
-      return true;
+      each([&](ThreadRegs& r) { r.set(in.dst, r.get(in.src[0])); });
+      break;
     case Opcode::MOV32I:
-      GPUREL_FOR_LANES(r.set(in.dst, imm_u32))
-      return true;
+      each([&](ThreadRegs& r) { r.set(in.dst, imm); });
+      break;
     case Opcode::SEL:
-      GPUREL_FOR_LANES({
+      each([&](ThreadRegs& r) {
         const bool p = r.get_pred(in.aux & 0x07);
         const bool take_a = (in.aux & isa::kAuxSelNegate) ? !p : p;
         r.set(in.dst, take_a ? r.get(in.src[0]) : r.get(in.src[1]));
-      })
-      return true;
-    case Opcode::I2F:
-      GPUREL_FOR_LANES(r.setf(
-          in.dst,
-          static_cast<float>(static_cast<std::int32_t>(r.get(in.src[0])))))
-      return true;
-    case Opcode::F2I:
-      GPUREL_FOR_LANES(
-          r.set(in.dst, static_cast<std::uint32_t>(f2i_sat(r.getf(in.src[0])))))
-      return true;
+      });
+      break;
+    case Opcode::S2R:
+      for_lanes([&](ThreadRegs& r, unsigned lane, std::uint32_t&) {
+        const unsigned linear = w.warp_in_block * gpu_.warp_size + lane;
+        std::uint32_t v = 0;
+        switch (static_cast<isa::SpecialReg>(in.imm)) {
+          case isa::SpecialReg::TID_X: v = linear % launch_->block.x; break;
+          case isa::SpecialReg::TID_Y: v = linear / launch_->block.x; break;
+          case isa::SpecialReg::CTAID_X: v = w.block->cta_x; break;
+          case isa::SpecialReg::CTAID_Y: v = w.block->cta_y; break;
+          case isa::SpecialReg::NTID_X: v = launch_->block.x; break;
+          case isa::SpecialReg::NTID_Y: v = launch_->block.y; break;
+          case isa::SpecialReg::NCTAID_X: v = launch_->grid.x; break;
+          case isa::SpecialReg::NCTAID_Y: v = launch_->grid.y; break;
+          case isa::SpecialReg::LANEID: v = lane; break;
+        }
+        r.set(in.dst, v);
+      });
+      break;
+    case Opcode::LDC:
+      each([&](ThreadRegs& r) {
+        if (static_cast<std::size_t>(in.imm) >= launch_->params.size())
+          throw std::invalid_argument("LDC: kernel parameter slot out of range in " +
+                                      launch_->program->name());
+        r.set(in.dst, launch_->params[static_cast<std::size_t>(in.imm)]);
+      });
+      break;
+    // ---- Memory ----
     case Opcode::LDG:
     case Opcode::LDS: {
       const auto width = static_cast<MemWidth>(in.aux);
-      for (unsigned l = 0; l < 32 && due_ == DueKind::None; ++l) {
-        if (!((exec_mask >> l) & 1u)) continue;
-        ThreadRegs& r = w.lanes[l];
-        const std::uint32_t eff_addr = r.get(in.src[0]) + imm_u32;
+      for_lanes([&](ThreadRegs& r, unsigned, std::uint32_t& eff_addr) {
+        eff_addr = r.get(in.src[0]) + imm;
         std::uint64_t v = 0;
         const MemStatus st = in.op == Opcode::LDG
                                  ? global_.load(eff_addr, width, v)
                                  : w.block->shared.load(eff_addr, width, v);
-        if (st != MemStatus::Ok) {
-          raise_due(st == MemStatus::OutOfBounds ? DueKind::InvalidAddress
-                                                 : DueKind::MisalignedAddress);
-          continue;
-        }
-        if (width == MemWidth::B64) r.set64(in.dst, v);
+        if (st != MemStatus::Ok) raise_due(mem_due(st));
+        else if (width == MemWidth::B64) r.set64(in.dst, v);
         else r.set(in.dst, static_cast<std::uint32_t>(v));
-      }
-      return true;
+      });
+      break;
     }
     case Opcode::STG:
     case Opcode::STS: {
       const auto width = static_cast<MemWidth>(in.aux);
-      for (unsigned l = 0; l < 32 && due_ == DueKind::None; ++l) {
-        if (!((exec_mask >> l) & 1u)) continue;
-        ThreadRegs& r = w.lanes[l];
-        const std::uint32_t eff_addr = r.get(in.src[0]) + imm_u32;
+      for_lanes([&](ThreadRegs& r, unsigned, std::uint32_t& eff_addr) {
+        eff_addr = r.get(in.src[0]) + imm;
         const std::uint64_t v = width == MemWidth::B64
                                     ? r.get64(in.src[1])
                                     : (width == MemWidth::B16
@@ -775,276 +887,46 @@ bool Executor::exec_warp_bare(WarpRt& w, std::uint32_t exec_mask,
         const MemStatus st = in.op == Opcode::STG
                                  ? global_.store(eff_addr, width, v)
                                  : w.block->shared.store(eff_addr, width, v);
-        if (st != MemStatus::Ok)
-          raise_due(st == MemStatus::OutOfBounds ? DueKind::InvalidAddress
-                                                 : DueKind::MisalignedAddress);
-      }
-      return true;
+        if (st != MemStatus::Ok) raise_due(mem_due(st));
+      });
+      break;
     }
-    default:
-      return false;  // rare opcode: per-lane fallback
-  }
-#undef GPUREL_FOR_LANES
-}
-
-void Executor::exec_lane(WarpRt& w, unsigned lane, const Instr& in,
-                         std::uint64_t cycle, std::uint32_t pc) {
-  ThreadRegs& r = w.lanes[lane];
-  std::uint32_t eff_addr = 0;
-
-  auto src1_u32 = [&]() -> std::uint32_t {
-    return (in.aux & isa::kAuxImmSrc1) ? static_cast<std::uint32_t>(in.imm)
-                                       : r.get(in.src[1]);
-  };
-  auto src1_f32 = [&]() -> float { return bits_f32(src1_u32()); };
-  const std::uint8_t cmp_bits = in.aux & 0x07;
-
-  switch (in.op) {
+    case Opcode::ATOM:
+      for_lanes([&](ThreadRegs& r, unsigned, std::uint32_t& eff_addr) {
+        eff_addr = r.get(in.src[0]) + imm;
+        std::uint64_t old64 = 0;
+        if (global_.load(eff_addr, MemWidth::B32, old64) != MemStatus::Ok) {
+          raise_due(DueKind::InvalidAddress);
+          return;
+        }
+        const auto old = static_cast<std::uint32_t>(old64);
+        std::uint32_t next = old;
+        const std::uint32_t val = r.get(in.src[1]);
+        switch (static_cast<isa::AtomOp>(in.aux & 0x07)) {
+          case isa::AtomOp::Add: next = old + val; break;
+          case isa::AtomOp::Min:
+            next = static_cast<std::uint32_t>(
+                std::min(static_cast<std::int32_t>(old), static_cast<std::int32_t>(val)));
+            break;
+          case isa::AtomOp::Max:
+            next = static_cast<std::uint32_t>(
+                std::max(static_cast<std::int32_t>(old), static_cast<std::int32_t>(val)));
+            break;
+          case isa::AtomOp::Exch: next = val; break;
+          case isa::AtomOp::CAS: next = old == val ? r.get(in.src[2]) : old; break;
+        }
+        global_.store(eff_addr, MemWidth::B32, next);
+        r.set(in.dst, old);
+      });
+      break;
+    // No lane effect, but every exec-mask lane still goes through for_lanes,
+    // so the hooked lane walk reports each one to after_exec, as site
+    // counting expects. Control and MMA opcodes never get here (issue_instr
+    // runs them at warp level).
     case Opcode::NOP:
-      break;
-    // ---- FP32 ----
-    case Opcode::FADD:
-      r.setf(in.dst, r.getf(in.src[0]) + src1_f32());
-      break;
-    case Opcode::FMUL:
-      r.setf(in.dst, r.getf(in.src[0]) * src1_f32());
-      break;
-    case Opcode::FFMA:
-      r.setf(in.dst, std::fma(r.getf(in.src[0]), r.getf(in.src[1]), r.getf(in.src[2])));
-      break;
-    case Opcode::FMNMX:
-      r.setf(in.dst, in.aux & 1 ? std::fmax(r.getf(in.src[0]), r.getf(in.src[1]))
-                                : std::fmin(r.getf(in.src[0]), r.getf(in.src[1])));
-      break;
-    case Opcode::FSETP:
-      r.set_pred(in.dst, cmp_eval(static_cast<CmpOp>(cmp_bits), r.getf(in.src[0]),
-                                  src1_f32()));
-      break;
-    // ---- FP64 ----
-    case Opcode::DADD:
-      r.setd(in.dst, r.getd(in.src[0]) + r.getd(in.src[1]));
-      break;
-    case Opcode::DMUL:
-      r.setd(in.dst, r.getd(in.src[0]) * r.getd(in.src[1]));
-      break;
-    case Opcode::DFMA:
-      r.setd(in.dst, std::fma(r.getd(in.src[0]), r.getd(in.src[1]), r.getd(in.src[2])));
-      break;
-    case Opcode::DSETP:
-      r.set_pred(in.dst, cmp_eval(static_cast<CmpOp>(cmp_bits), r.getd(in.src[0]),
-                                  r.getd(in.src[1])));
-      break;
-    // ---- FP16 ----
-    case Opcode::HADD:
-      r.seth(in.dst, half_add(r.geth(in.src[0]), r.geth(in.src[1])));
-      break;
-    case Opcode::HMUL:
-      r.seth(in.dst, half_mul(r.geth(in.src[0]), r.geth(in.src[1])));
-      break;
-    case Opcode::HFMA:
-      r.seth(in.dst, half_fma(r.geth(in.src[0]), r.geth(in.src[1]), r.geth(in.src[2])));
-      break;
-    case Opcode::HSETP:
-      r.set_pred(in.dst, cmp_eval(static_cast<CmpOp>(cmp_bits),
-                                  r.geth(in.src[0]).to_float(),
-                                  r.geth(in.src[1]).to_float()));
-      break;
-    // ---- INT32 ----
-    case Opcode::IADD:
-      r.set(in.dst, r.get(in.src[0]) + src1_u32());
-      break;
-    case Opcode::IMUL:
-      r.set(in.dst, r.get(in.src[0]) * src1_u32());
-      break;
-    case Opcode::IMAD:
-      r.set(in.dst, r.get(in.src[0]) * r.get(in.src[1]) + r.get(in.src[2]));
-      break;
-    case Opcode::IMNMX: {
-      const auto a = static_cast<std::int32_t>(r.get(in.src[0]));
-      const auto b = static_cast<std::int32_t>(r.get(in.src[1]));
-      r.set(in.dst, static_cast<std::uint32_t>((in.aux & 1) ? std::max(a, b)
-                                                            : std::min(a, b)));
-      break;
-    }
-    case Opcode::ISETP:
-      r.set_pred(in.dst, cmp_eval(static_cast<CmpOp>(cmp_bits),
-                                  static_cast<std::int32_t>(r.get(in.src[0])),
-                                  static_cast<std::int32_t>(src1_u32())));
-      break;
-    case Opcode::SHL:
-      r.set(in.dst, r.get(in.src[0]) << (in.imm & 31));
-      break;
-    case Opcode::SHR:
-      r.set(in.dst, r.get(in.src[0]) >> (in.imm & 31));
-      break;
-    case Opcode::SHRS:
-      r.set(in.dst, static_cast<std::uint32_t>(
-                        static_cast<std::int32_t>(r.get(in.src[0])) >> (in.imm & 31)));
-      break;
-    case Opcode::LOP_AND:
-      r.set(in.dst, r.get(in.src[0]) & src1_u32());
-      break;
-    case Opcode::LOP_OR:
-      r.set(in.dst, r.get(in.src[0]) | src1_u32());
-      break;
-    case Opcode::LOP_XOR:
-      r.set(in.dst, r.get(in.src[0]) ^ src1_u32());
-      break;
-    // ---- SFU ----
-    // RCP/RSQ spell out the IEEE zero cases instead of dividing: the bit
-    // patterns are identical (1/±0 = ±Inf) but a literal division by zero is
-    // UB under -fsanitize=float-divide-by-zero.
-    case Opcode::MUFU_RCP: {
-      const float x = r.getf(in.src[0]);
-      r.setf(in.dst, x == 0.0f ? std::copysign(
-                                     std::numeric_limits<float>::infinity(), x)
-                               : 1.0f / x);
-      break;
-    }
-    case Opcode::MUFU_RSQ: {
-      const float s = std::sqrt(r.getf(in.src[0]));
-      r.setf(in.dst, s == 0.0f ? std::copysign(
-                                     std::numeric_limits<float>::infinity(), s)
-                               : 1.0f / s);
-      break;
-    }
-    case Opcode::MUFU_EX2:
-      r.setf(in.dst, std::exp2(r.getf(in.src[0])));
-      break;
-    case Opcode::MUFU_LG2:
-      r.setf(in.dst, std::log2(r.getf(in.src[0])));
-      break;
-    // ---- Conversions ----
-    case Opcode::I2F:
-      r.setf(in.dst, static_cast<float>(static_cast<std::int32_t>(r.get(in.src[0]))));
-      break;
-    case Opcode::F2I:
-      r.set(in.dst, static_cast<std::uint32_t>(f2i_sat(r.getf(in.src[0]))));
-      break;
-    case Opcode::F2H:
-      r.seth(in.dst, Half::from_float(r.getf(in.src[0])));
-      break;
-    case Opcode::H2F:
-      r.setf(in.dst, r.geth(in.src[0]).to_float());
-      break;
-    case Opcode::F2D:
-      r.setd(in.dst, static_cast<double>(r.getf(in.src[0])));
-      break;
-    case Opcode::D2F:
-      r.setf(in.dst, static_cast<float>(r.getd(in.src[0])));
-      break;
-    case Opcode::I2D:
-      r.setd(in.dst, static_cast<double>(static_cast<std::int32_t>(r.get(in.src[0]))));
-      break;
-    case Opcode::D2I:
-      r.set(in.dst, static_cast<std::uint32_t>(d2i_sat(r.getd(in.src[0]))));
-      break;
-    // ---- Moves ----
-    case Opcode::MOV:
-      r.set(in.dst, r.get(in.src[0]));
-      break;
-    case Opcode::MOV32I:
-      r.set(in.dst, static_cast<std::uint32_t>(in.imm));
-      break;
-    case Opcode::SEL: {
-      const bool p = r.get_pred(in.aux & 0x07);
-      const bool take_a = (in.aux & isa::kAuxSelNegate) ? !p : p;
-      r.set(in.dst, take_a ? r.get(in.src[0]) : r.get(in.src[1]));
-      break;
-    }
-    case Opcode::S2R: {
-      const unsigned linear = w.warp_in_block * gpu_.warp_size + lane;
-      std::uint32_t v = 0;
-      switch (static_cast<isa::SpecialReg>(in.imm)) {
-        case isa::SpecialReg::TID_X: v = linear % launch_->block.x; break;
-        case isa::SpecialReg::TID_Y: v = linear / launch_->block.x; break;
-        case isa::SpecialReg::CTAID_X: v = w.block->cta_x; break;
-        case isa::SpecialReg::CTAID_Y: v = w.block->cta_y; break;
-        case isa::SpecialReg::NTID_X: v = launch_->block.x; break;
-        case isa::SpecialReg::NTID_Y: v = launch_->block.y; break;
-        case isa::SpecialReg::NCTAID_X: v = launch_->grid.x; break;
-        case isa::SpecialReg::NCTAID_Y: v = launch_->grid.y; break;
-        case isa::SpecialReg::LANEID: v = lane; break;
-      }
-      r.set(in.dst, v);
-      break;
-    }
-    case Opcode::LDC:
-      if (static_cast<std::size_t>(in.imm) >= launch_->params.size())
-        throw std::invalid_argument("LDC: kernel parameter slot out of range in " +
-                                    launch_->program->name());
-      r.set(in.dst, launch_->params[static_cast<std::size_t>(in.imm)]);
-      break;
-    // ---- Memory ----
-    case Opcode::LDG:
-    case Opcode::LDS: {
-      eff_addr = r.get(in.src[0]) + static_cast<std::uint32_t>(in.imm);
-      const auto width = static_cast<MemWidth>(in.aux);
-      std::uint64_t v = 0;
-      const MemStatus st = in.op == Opcode::LDG
-                               ? global_.load(eff_addr, width, v)
-                               : w.block->shared.load(eff_addr, width, v);
-      if (st != MemStatus::Ok) {
-        raise_due(st == MemStatus::OutOfBounds ? DueKind::InvalidAddress
-                                               : DueKind::MisalignedAddress);
-        break;
-      }
-      if (width == MemWidth::B64) r.set64(in.dst, v);
-      else r.set(in.dst, static_cast<std::uint32_t>(v));
-      break;
-    }
-    case Opcode::STG:
-    case Opcode::STS: {
-      eff_addr = r.get(in.src[0]) + static_cast<std::uint32_t>(in.imm);
-      const auto width = static_cast<MemWidth>(in.aux);
-      const std::uint64_t v = width == MemWidth::B64
-                                  ? r.get64(in.src[1])
-                                  : (width == MemWidth::B16
-                                         ? (r.get(in.src[1]) & 0xffffu)
-                                         : r.get(in.src[1]));
-      const MemStatus st = in.op == Opcode::STG
-                               ? global_.store(eff_addr, width, v)
-                               : w.block->shared.store(eff_addr, width, v);
-      if (st != MemStatus::Ok)
-        raise_due(st == MemStatus::OutOfBounds ? DueKind::InvalidAddress
-                                               : DueKind::MisalignedAddress);
-      break;
-    }
-    case Opcode::ATOM: {
-      eff_addr = r.get(in.src[0]) + static_cast<std::uint32_t>(in.imm);
-      std::uint64_t old64 = 0;
-      if (global_.load(eff_addr, MemWidth::B32, old64) != MemStatus::Ok) {
-        raise_due(DueKind::InvalidAddress);
-        break;
-      }
-      const auto old = static_cast<std::uint32_t>(old64);
-      std::uint32_t next = old;
-      const std::uint32_t val = r.get(in.src[1]);
-      switch (static_cast<isa::AtomOp>(in.aux & 0x07)) {
-        case isa::AtomOp::Add: next = old + val; break;
-        case isa::AtomOp::Min:
-          next = static_cast<std::uint32_t>(
-              std::min(static_cast<std::int32_t>(old), static_cast<std::int32_t>(val)));
-          break;
-        case isa::AtomOp::Max:
-          next = static_cast<std::uint32_t>(
-              std::max(static_cast<std::int32_t>(old), static_cast<std::int32_t>(val)));
-          break;
-        case isa::AtomOp::Exch: next = val; break;
-        case isa::AtomOp::CAS: next = old == val ? r.get(in.src[2]) : old; break;
-      }
-      global_.store(eff_addr, MemWidth::B32, next);
-      r.set(in.dst, old);
-      break;
-    }
     default:
-      break;  // control and MMA handled at warp level
-  }
-
-  if (obs_ != nullptr && (hooks_ & SimObserver::kWantsAfterExec)) {
-    ExecContext ctx{cycle, w.sm, lane, w.warp_id, pc, &in, &r, &w.pc, eff_addr,
-                    linear_cta(w)};
-    obs_->after_exec(ctx);
+      for_lanes([](ThreadRegs&, unsigned, std::uint32_t&) {});
+      break;
   }
 }
 
@@ -1108,12 +990,30 @@ void Executor::issue_instr(WarpRt& w, std::uint64_t cycle) {
       }
     }
   } else {
-    const bool hooked =
-        obs_ != nullptr &&
-        (hooks_ & (SimObserver::kWantsBeforeExec | SimObserver::kWantsAfterExec));
-    if (hooked || !exec_warp_bare(w, exec_mask, in)) {
-      for (unsigned l = 0; l < 32 && due_ == DueKind::None; ++l)
-        if ((exec_mask >> l) & 1u) exec_lane(w, l, in, cycle, pc);
+    // One lane walk, two drivers for exec_lanes: both visit the exec-mask
+    // lanes in ascending order and stop once a lane has raised a DUE; the
+    // hooked one calls after_exec right after each lane (the lane that
+    // raised the DUE included). Every before_exec already ran above, so a
+    // before-only observer takes the hook-free driver.
+    auto lane_walk = [&](auto after_lane) {
+      return [&, after_lane](auto&& op) {
+        for (std::uint32_t m = exec_mask; m != 0 && due_ == DueKind::None;
+             m &= m - 1) {
+          const auto l = static_cast<unsigned>(std::countr_zero(m));
+          std::uint32_t eff_addr = 0;
+          op(w.lanes[l], l, eff_addr);
+          after_lane(l, eff_addr);
+        }
+      };
+    };
+    if (obs_ != nullptr && (hooks_ & SimObserver::kWantsAfterExec)) {
+      exec_lanes(w, in, lane_walk([&](unsigned l, std::uint32_t eff_addr) {
+        ExecContext ctx{cycle, w.sm, l, w.warp_id, pc, &in, &w.lanes[l], &w.pc,
+                        eff_addr, linear_cta(w)};
+        obs_->after_exec(ctx);
+      }));
+    } else {
+      exec_lanes(w, in, lane_walk([](unsigned, std::uint32_t) {}));
     }
   }
 

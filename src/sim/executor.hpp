@@ -15,10 +15,16 @@
 //   - BlockRt/WarpRt/SharedMemory come from watermark pools owned by the
 //     executor and are reused across run() calls, so repeated trials (fault
 //     campaigns, beam experiments) stop exercising the allocator;
+//   - each lane-level warp instruction dispatches on its opcode once:
+//     exec_lanes' one switch states every opcode's lane semantics and runs
+//     them under one of two lane drivers (hook-free, or calling after_exec
+//     after each lane), so hooked and hook-free runs share one definition
+//     of the ISA;
 //   - the observer's wants() mask is read at launch start and re-read at
 //     cycle boundaries; unclaimed hook families are skipped without
 //     constructing their contexts, so an observer that drops its claims
-//     mid-launch (a fired one-shot injection) runs the rest on bare paths.
+//     mid-launch (a fired one-shot injection) runs the rest on the
+//     hook-free driver.
 // All of this is behaviour-preserving: scheduling order, stats, outcomes and
 // memory images are bit-identical to the straightforward engine
 // (tests/test_sched_equivalence.cpp pins this against recorded goldens).
@@ -133,14 +139,14 @@ class Executor final : public Machine {
                             static_cast<std::size_t>(UnitGroup::kCount)>& used);
   std::uint64_t dependency_ready(const WarpRt& w, const DecodedInstr& d) const;
   void issue_instr(WarpRt& w, std::uint64_t cycle);
-  void exec_lane(WarpRt& w, unsigned lane, const isa::Instr& in,
-                 std::uint64_t cycle, std::uint32_t pc);
-  /// Warp-wide execution of the common opcodes: one switch dispatch per warp
-  /// with a tight lane loop per case, semantically identical to calling
-  /// exec_lane per lane. Only valid when no before/after-exec hooks are
-  /// attached (hook ordering interleaves with lane execution). Returns false
-  /// for opcodes it does not handle (caller falls back to exec_lane).
-  bool exec_warp_bare(WarpRt& w, std::uint32_t exec_mask, const isa::Instr& in);
+  /// Executes one lane-level (not control, not MMA) instruction. Its one
+  /// switch states each opcode's lane semantics once, as a callable
+  /// op(regs, lane, eff_addr) that writes a memory op's effective address
+  /// into `eff_addr`, and hands it to `for_lanes(op)`, which applies it to
+  /// the lanes. issue_instr passes one of two drivers: a hook-free one and
+  /// one that calls after_exec after each lane.
+  template <typename ForLanes>
+  void exec_lanes(WarpRt& w, const isa::Instr& in, ForLanes&& for_lanes);
   void exec_mma(WarpRt& w, const isa::Instr& in, std::uint64_t cycle,
                 std::uint32_t pc);
   void exec_control(WarpRt& w, const isa::Instr& in, std::uint32_t pc,

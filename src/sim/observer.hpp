@@ -118,8 +118,8 @@ class SimObserver {
   /// skipping an unclaimed hook never changes behaviour. An observer that
   /// overrides a hook MUST claim its bit while calls to it could do
   /// anything; it may drop a bit mid-launch once every later call would be a
-  /// no-op (a fired one-shot injection), which switches the remainder of the
-  /// launch onto the bare whole-warp execution paths.
+  /// no-op (a fired one-shot injection). Dropping kWantsAfterExec switches
+  /// the remainder of the launch onto the executor's hook-free lane driver.
   static constexpr unsigned kWantsBeforeExec = 1u << 0;
   static constexpr unsigned kWantsAfterExec = 1u << 1;
   static constexpr unsigned kWantsWarpIssue = 1u << 2;

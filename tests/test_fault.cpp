@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "common/telemetry.hpp"
 #include "fault/campaign.hpp"
@@ -39,9 +40,9 @@ TEST(Injector, SassifiCapabilities) {
   auto s = make_injector("SASSIFI");
   EXPECT_EQ(s->name(), "SASSIFI");
   EXPECT_EQ(s->profile(), CompilerProfile::Cuda7);
-  EXPECT_TRUE(s->supports(FaultModel::Predicate));
-  EXPECT_TRUE(s->supports(FaultModel::InstructionAddress));
-  EXPECT_TRUE(s->supports(FaultModel::RegisterFile));
+  EXPECT_TRUE(s->reaches(SiteClass::Predicate));
+  EXPECT_TRUE(s->reaches(SiteClass::InstructionAddress));
+  EXPECT_TRUE(s->reaches(SiteClass::RegisterFile));
 
   EXPECT_TRUE(s->eligible_output(Instr{.op = Opcode::FFMA}));
   EXPECT_TRUE(s->eligible_output(Instr{.op = Opcode::IADD}));
@@ -54,10 +55,10 @@ TEST(Injector, SassifiCapabilities) {
 TEST(Injector, NvbitfiCapabilities) {
   auto n = make_injector("NVBitFI");
   EXPECT_EQ(n->profile(), CompilerProfile::Cuda10);
-  EXPECT_TRUE(n->supports(FaultModel::InstructionOutput));
-  EXPECT_FALSE(n->supports(FaultModel::Predicate));
-  EXPECT_FALSE(n->supports(FaultModel::InstructionAddress));
-  EXPECT_FALSE(n->supports(FaultModel::RegisterFile));
+  EXPECT_TRUE(n->reaches(SiteClass::InstructionOutput));
+  EXPECT_FALSE(n->reaches(SiteClass::Predicate));
+  EXPECT_FALSE(n->reaches(SiteClass::InstructionAddress));
+  EXPECT_FALSE(n->reaches(SiteClass::RegisterFile));
 
   // GPR-writing instructions are fair game...
   EXPECT_TRUE(n->eligible_output(Instr{.op = Opcode::FFMA}));
@@ -216,8 +217,8 @@ TEST(Campaign, StoreModesExerciseStores) {
 
 TEST(Campaign, NvbitfiIgnoresStoreModes) {
   auto inj = make_injector("NVBitFI");
-  EXPECT_FALSE(inj->supports(FaultModel::StoreValue));
-  EXPECT_FALSE(inj->supports(FaultModel::StoreAddress));
+  EXPECT_FALSE(inj->reaches(SiteClass::StoreValue));
+  EXPECT_FALSE(inj->reaches(SiteClass::StoreAddress));
   CampaignConfig cc;
   cc.injections_per_kind = 5;
   cc.store_value_injections = 20;  // requested but unsupported: skipped
@@ -228,13 +229,13 @@ TEST(Campaign, NvbitfiIgnoresStoreModes) {
   EXPECT_EQ(r.store_value.total(), 0u);
 }
 
-TEST(Injector, FaultModelNames) {
-  EXPECT_EQ(fault_model_name(FaultModel::InstructionOutput), "IOV");
-  EXPECT_EQ(fault_model_name(FaultModel::RegisterFile), "RF");
-  EXPECT_EQ(fault_model_name(FaultModel::Predicate), "PR");
-  EXPECT_EQ(fault_model_name(FaultModel::InstructionAddress), "IA");
-  EXPECT_EQ(fault_model_name(FaultModel::StoreValue), "STV");
-  EXPECT_EQ(fault_model_name(FaultModel::StoreAddress), "STA");
+TEST(Injector, SiteClassNames) {
+  // The architectural names are SASSIFI's mode names: JobSpec strings,
+  // telemetry model fields and report rows spell them this way.
+  const std::string_view want[kSiteClasses] = {
+      "IOV", "RF", "PR", "IA", "STV", "STA", "SCHED", "SCORE", "CTA", "WCTL"};
+  for (std::size_t i = 0; i < kSiteClasses; ++i)
+    EXPECT_EQ(site_class_name(static_cast<SiteClass>(i)), want[i]) << i;
 }
 
 TEST(Campaign, OverallMaskedIsZeroWithoutTrials) {

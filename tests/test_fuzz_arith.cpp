@@ -4,6 +4,7 @@
 // Each seed generates a distinct program; the parameterized sweep runs many.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -205,6 +206,12 @@ void emit_step(KernelBuilder& b, const Step& s, const std::vector<Reg>& slot,
   }
 }
 
+/// A no-op observer whose after_exec claim selects the hooked lane driver.
+class AfterExecOnly final : public SimObserver {
+ public:
+  unsigned wants() const override { return kWantsAfterExec; }
+};
+
 class FuzzArith : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FuzzArith, DeviceMatchesHostBitExactly) {
@@ -233,21 +240,31 @@ TEST_P(FuzzArith, DeviceMatchesHostBitExactly) {
     b.stg(addr, slot[i], static_cast<std::int32_t>(i * 4));
   Program prog = b.build();
 
-  Device dev(arch::GpuConfig::kepler_k40c(1));
-  const auto out_addr = dev.alloc(kThreads * kSlots * 4);
-  sim::KernelLaunch kl{&prog, {1, 1}, {kThreads, 1}, 0, {out_addr}};
-  ASSERT_EQ(dev.launch(kl, nullptr, 10'000'000).due, DueKind::None);
-  const auto got = dev.copy_out<std::uint32_t>(out_addr, kThreads * kSlots);
-
   // Host mirror.
+  std::vector<std::uint32_t> want(kThreads * kSlots);
   for (unsigned t = 0; t < kThreads; ++t) {
     std::vector<std::uint32_t> r(kSlots);
     for (unsigned i = 0; i < kSlots; ++i)
       r[i] = t * (0x9e3779b9u * (i + 1)) + (0x7f4a7c15u ^ (i * 77));
     for (const auto& s : steps) r[s.dst] = host_step(s, r);
-    for (unsigned i = 0; i < kSlots; ++i)
-      ASSERT_EQ(got[t * kSlots + i], r[i])
-          << "seed=" << GetParam() << " thread=" << t << " slot=" << i;
+    std::copy(r.begin(), r.end(), want.begin() + t * kSlots);
+  }
+
+  // Once with no observer (the hook-free lane driver) and once under an
+  // after_exec claim (the hooked driver): both must match the host.
+  AfterExecOnly hooked;
+  for (SimObserver* obs : {static_cast<SimObserver*>(nullptr),
+                           static_cast<SimObserver*>(&hooked)}) {
+    Device dev(arch::GpuConfig::kepler_k40c(1));
+    const auto out_addr = dev.alloc(kThreads * kSlots * 4);
+    sim::KernelLaunch kl{&prog, {1, 1}, {kThreads, 1}, 0, {out_addr}};
+    ASSERT_EQ(dev.launch(kl, obs, 10'000'000).due, DueKind::None);
+    const auto got = dev.copy_out<std::uint32_t>(out_addr, kThreads * kSlots);
+    for (unsigned t = 0; t < kThreads; ++t)
+      for (unsigned i = 0; i < kSlots; ++i)
+        ASSERT_EQ(got[t * kSlots + i], want[t * kSlots + i])
+            << "seed=" << GetParam() << " hooked=" << (obs != nullptr)
+            << " thread=" << t << " slot=" << i;
   }
 }
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -174,6 +175,47 @@ TEST(JobSpecTest, RejectsUnknownVersionsAndNames) {
   json::Value doc2 = spec_to_json(reference_campaign_spec());
   doc2.set("kind", "mystery");
   EXPECT_THROW(spec_from_json(doc2), std::runtime_error);
+}
+
+/// `doc` with the member at `path` (object keys, outermost first) set to `v`.
+json::Value with_member(json::Value doc, std::vector<std::string> path,
+                        json::Value v) {
+  const std::string head = path.front();
+  if (path.size() > 1) {
+    path.erase(path.begin());
+    v = with_member(doc.at(head), std::move(path), std::move(v));
+  }
+  doc.set(head, std::move(v));
+  return doc;
+}
+
+// A 32-bit spec field past UINT32_MAX is rejected, naming its key, instead of
+// wrapping: "runs": 2^32 + 1 used to decode as 1 run, and shard index 2^32
+// as shard 0 (the whole job, cached under a different key).
+TEST(JobSpecTest, RejectsIntegersPast32Bits) {
+  const json::Value campaign = spec_to_json(reference_campaign_spec());
+  const json::Value beam = spec_to_json(reference_beam_spec());
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  auto rejected_naming = [](const json::Value& doc, const std::string& key) {
+    try {
+      spec_from_json(doc);
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what()).find(key) != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejected_naming(with_member(beam, {"beam", "runs"}, big + 1),
+                              "runs"));
+  EXPECT_TRUE(rejected_naming(with_member(beam, {"shard", "index"}, big),
+                              "index"));
+  EXPECT_TRUE(rejected_naming(
+      with_member(campaign, {"campaign", "budget", "rf_injections"}, big),
+      "rf_injections"));
+  EXPECT_TRUE(rejected_naming(
+      with_member(campaign, {"device", "sm_count"}, big), "sm_count"));
+  // UINT32_MAX itself still fits.
+  EXPECT_EQ(spec_from_json(with_member(beam, {"beam", "runs"}, big - 1)).runs,
+            0xffffffffu);
 }
 
 // ---- sharded execution ----------------------------------------------------

@@ -3,7 +3,9 @@
 // fingerprinted (outcome, DUE kind, every LaunchStats field bit-exactly,
 // and the full allocated global-memory image). The fingerprints are compared
 // against goldens recorded from the pre-event-engine scheduler, pinning the
-// optimized executor to bit-identical behaviour.
+// optimized executor to bit-identical behaviour. The same rows are checked
+// again under no-op observers, so the hooked lane driver is pinned as well
+// as the hook-free one.
 //
 // Regenerating goldens (only when an *intentional* semantic change lands):
 //   GPUREL_REGEN_GOLDENS=tests/sched_equivalence_goldens.inc
@@ -107,7 +109,8 @@ struct Case {
 
 void run_catalog(std::vector<Case>& out, const char* tag,
                  const arch::GpuConfig& gpu,
-                 const std::vector<kernels::CatalogEntry>& entries) {
+                 const std::vector<kernels::CatalogEntry>& entries,
+                 sim::SimObserver* obs) {
   std::map<std::string, bool> seen;
   for (const auto& e : entries) {
     const std::string name = std::string(tag) + "/" + kernels::entry_name(e);
@@ -117,7 +120,7 @@ void run_catalog(std::vector<Case>& out, const char* tag,
     auto w = kernels::make_workload(e.base, e.precision, wc);
     sim::Device dev(gpu);
     w->prepare(dev);
-    const auto r = w->run_trial(dev);
+    const auto r = w->run_trial(dev, obs);
     Fnv f;
     f.mix_byte(static_cast<std::uint8_t>(r.outcome));
     f.mix_byte(static_cast<std::uint8_t>(r.due));
@@ -129,15 +132,17 @@ void run_catalog(std::vector<Case>& out, const char* tag,
 
 // ---- Targeted kernels ------------------------------------------------------
 
-// Runs a built program on a fresh device: grid/block as given, param 0 is a
-// freshly allocated output buffer of `out_words` u32 slots.
+// Runs a built program on a fresh device under `obs` (may be null):
+// grid/block as given, param 0 is a freshly allocated output buffer of
+// `out_words` u32 slots.
 Case run_targeted(const std::string& name, const arch::GpuConfig& gpu,
                   Program& prog, sim::Dim2 grid, sim::Dim2 block,
-                  unsigned out_words, std::uint64_t max_cycles = 4'000'000) {
+                  unsigned out_words, sim::SimObserver* obs,
+                  std::uint64_t max_cycles = 4'000'000) {
   sim::Device dev(gpu);
   const auto out = dev.alloc(out_words * 4);
   sim::KernelLaunch kl{&prog, grid, block, 0, {out}};
-  const auto st = dev.launch(kl, nullptr, max_cycles);
+  const auto st = dev.launch(kl, obs, max_cycles);
   Fnv f;
   mix_stats(f, st);
   mix_memory(f, dev);
@@ -347,67 +352,92 @@ Program watchdog_kernel() {
   return b.build();
 }
 
-std::vector<Case> run_all_cases() {
+std::vector<Case> run_all_cases(sim::SimObserver* obs = nullptr) {
   std::vector<Case> out;
   const auto kepler = arch::GpuConfig::kepler_k40c(2);
   const auto volta = arch::GpuConfig::volta_v100(2);
 
-  run_catalog(out, "kepler", kepler, kernels::kepler_app_catalog());
-  run_catalog(out, "kepler", kepler, kernels::kepler_micro_catalog());
-  run_catalog(out, "volta", volta, kernels::volta_app_catalog());
-  run_catalog(out, "volta", volta, kernels::volta_micro_catalog());
+  run_catalog(out, "kepler", kepler, kernels::kepler_app_catalog(), obs);
+  run_catalog(out, "kepler", kepler, kernels::kepler_micro_catalog(), obs);
+  run_catalog(out, "volta", volta, kernels::volta_app_catalog(), obs);
+  run_catalog(out, "volta", volta, kernels::volta_micro_catalog(), obs);
 
   {
     auto p = nested_divergence_kernel();
     out.push_back(run_targeted("micro/nested_divergence", kepler, p,
-                               {3, 1}, {48, 1}, 3 * 64));
+                               {3, 1}, {48, 1}, 3 * 64, obs));
   }
   {
     auto p = barrier_exchange_kernel(96);
     out.push_back(run_targeted("micro/barrier_exchange", kepler, p,
-                               {2, 1}, {96, 1}, 2 * 96));
+                               {2, 1}, {96, 1}, 2 * 96, obs));
   }
   {
     auto p = ilp_dual_issue_kernel();
     out.push_back(
-        run_targeted("micro/dual_issue_ilp", kepler, p, {4, 1}, {64, 1}, 256));
+        run_targeted("micro/dual_issue_ilp", kepler, p,
+                     {4, 1}, {64, 1}, 256, obs));
   }
   {
     auto p = ilp_dual_issue_kernel();
     out.push_back(
-        run_targeted("volta/dual_issue_ilp", volta, p, {4, 1}, {64, 1}, 256));
+        run_targeted("volta/dual_issue_ilp", volta, p,
+                     {4, 1}, {64, 1}, 256, obs));
   }
   {
     auto p = fp64_b64_kernel();
     out.push_back(
-        run_targeted("micro/fp64_b64", kepler, p, {2, 1}, {32, 1}, 2 * 32 * 2));
+        run_targeted("micro/fp64_b64", kepler, p,
+                     {2, 1}, {32, 1}, 2 * 32 * 2, obs));
   }
   {
     auto p = sfu_mix_kernel();
     out.push_back(
-        run_targeted("micro/sfu_mix", kepler, p, {2, 1}, {64, 1}, 128));
+        run_targeted("micro/sfu_mix", kepler, p, {2, 1}, {64, 1}, 128, obs));
   }
   {
     auto p = atomic_kernel();
     out.push_back(
-        run_targeted("micro/atomics", kepler, p, {2, 1}, {64, 1}, 160));
+        run_targeted("micro/atomics", kepler, p, {2, 1}, {64, 1}, 160, obs));
   }
   {
     auto p = invalid_address_kernel();
     out.push_back(
-        run_targeted("due/invalid_address", kepler, p, {1, 1}, {32, 1}, 32));
+        run_targeted("due/invalid_address", kepler, p,
+                     {1, 1}, {32, 1}, 32, obs));
   }
   {
     auto p = misaligned_kernel();
     out.push_back(
-        run_targeted("due/misaligned", kepler, p, {1, 1}, {32, 1}, 32));
+        run_targeted("due/misaligned", kepler, p, {1, 1}, {32, 1}, 32, obs));
   }
   {
     auto p = watchdog_kernel();
     out.push_back(
-        run_targeted("due/watchdog", kepler, p, {2, 1}, {64, 1}, 128, 20000));
+        run_targeted("due/watchdog", kepler, p,
+                     {2, 1}, {64, 1}, 128, obs, 20000));
   }
   return out;
+}
+
+void expect_goldens(const std::vector<Case>& cases) {
+  std::map<std::string, const GoldenRow*> golden;
+  for (const GoldenRow& g : kGoldens)
+    if (g.name != nullptr) golden[g.name] = &g;
+  ASSERT_EQ(golden.size(), cases.size())
+      << "golden table out of sync; regenerate with GPUREL_REGEN_GOLDENS";
+
+  for (const Case& c : cases) {
+    const auto it = golden.find(c.name);
+    ASSERT_NE(it, golden.end()) << "no golden recorded for " << c.name;
+    const GoldenRow& g = *it->second;
+    EXPECT_EQ(c.cycles, g.cycles) << c.name << ": cycle count diverged";
+    EXPECT_EQ(c.lane_instructions, g.lane_instructions)
+        << c.name << ": lane-instruction count diverged";
+    EXPECT_EQ(c.fingerprint, g.fingerprint)
+        << c.name
+        << ": stats/memory fingerprint diverged from the recorded engine";
+  }
 }
 
 TEST(SchedEquivalence, BitIdenticalToRecordedGoldens) {
@@ -430,22 +460,30 @@ TEST(SchedEquivalence, BitIdenticalToRecordedGoldens) {
     GTEST_SKIP() << "regenerated " << cases.size() << " goldens into " << regen;
   }
 
-  std::map<std::string, const GoldenRow*> golden;
-  for (const GoldenRow& g : kGoldens)
-    if (g.name != nullptr) golden[g.name] = &g;
-  ASSERT_EQ(golden.size(), cases.size())
-      << "golden table out of sync; regenerate with GPUREL_REGEN_GOLDENS";
+  expect_goldens(cases);
+}
 
-  for (const Case& c : cases) {
-    const auto it = golden.find(c.name);
-    ASSERT_NE(it, golden.end()) << "no golden recorded for " << c.name;
-    const GoldenRow& g = *it->second;
-    EXPECT_EQ(c.cycles, g.cycles) << c.name << ": cycle count diverged";
-    EXPECT_EQ(c.lane_instructions, g.lane_instructions)
-        << c.name << ": lane-instruction count diverged";
-    EXPECT_EQ(c.fingerprint, g.fingerprint)
-        << c.name
-        << ": stats/memory fingerprint diverged from the recorded engine";
+/// A no-op observer that claims `mask`. The claim alone selects the
+/// executor's lane driver; the hooks themselves change nothing.
+class ClaimOnly final : public sim::SimObserver {
+ public:
+  explicit ClaimOnly(unsigned mask) : mask_(mask) {}
+  unsigned wants() const override { return mask_; }
+
+ private:
+  unsigned mask_;
+};
+
+// The recorded rows hold under every lane driver: an after_exec claim runs
+// the hooked driver, a before-only claim runs the hook-free driver behind
+// per-lane before_exec calls, and kWantsAll claims every hook family.
+TEST(SchedEquivalence, HookedDriversMatchRecordedGoldens) {
+  for (const unsigned mask :
+       {sim::SimObserver::kWantsAfterExec, sim::SimObserver::kWantsBeforeExec,
+        sim::SimObserver::kWantsAll}) {
+    SCOPED_TRACE("wants() = " + std::to_string(mask));
+    ClaimOnly obs(mask);
+    expect_goldens(run_all_cases(&obs));
   }
 }
 

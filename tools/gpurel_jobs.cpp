@@ -28,8 +28,10 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -65,12 +67,29 @@ int usage() {
   return 1;
 }
 
-/// Rejects a flag value outside its documented spellings (a silently
-/// substituted default would plan, and cache, a different job).
-int bad_value(const char* flag, const std::string& value, const char* allowed) {
-  std::fprintf(stderr, "gpurel_jobs: --%s=%s is not one of %s\n", flag,
-               value.c_str(), allowed);
-  return 1;
+/// A flag value the command cannot use; main() reports it with the
+/// bad-usage exit status 1. A silently substituted default, or a wrapped
+/// integer, would plan (and cache) a different job.
+struct BadValue : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Rejects a flag value outside its documented spellings or range.
+[[noreturn]] void bad_value(const std::string& flag, const std::string& value,
+                            const std::string& allowed) {
+  throw BadValue("--" + flag + "=" + value + " is not one of " + allowed);
+}
+
+/// An integer flag that fills a 32-bit spec or run field (`env`, when set,
+/// names its environment fallback); rejects values outside 0..UINT32_MAX.
+unsigned u32_flag(const Cli& cli, const std::string& flag, std::int64_t def,
+                  const char* env = nullptr) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::int64_t v =
+      env != nullptr ? cli.get_int_env(flag, env, def) : cli.get_int(flag, def);
+  if (v < 0 || v > kMax)
+    bad_value(flag, std::to_string(v), "0.." + std::to_string(kMax));
+  return static_cast<unsigned>(v);
 }
 
 std::optional<core::Precision> parse_precision(const std::string& s) {
@@ -102,17 +121,17 @@ int cmd_plan(const Cli& cli) {
   job::JobSpec spec;
   const std::string kind = cli.get("kind", "campaign");
   if (kind != "campaign" && kind != "beam")
-    return bad_value("kind", kind, "campaign|beam");
+    bad_value("kind", kind, "campaign|beam");
   const std::string arch = cli.get("arch", "kepler");
   if (arch != "kepler" && arch != "volta")
-    return bad_value("arch", arch, "kepler|volta");
+    bad_value("arch", arch, "kepler|volta");
   const std::string precision = cli.get("precision", "single");
   const std::optional<core::Precision> prec = parse_precision(precision);
   if (!prec)
-    return bad_value("precision", precision,
-                     "int|half|single|double (aliases int32|fp16|fp64)");
+    bad_value("precision", precision,
+              "int|half|single|double (aliases int32|fp16|fp64)");
 
-  const unsigned sm = static_cast<unsigned>(cli.get_int("sm", 2));
+  const unsigned sm = u32_flag(cli, "sm", 2);
   spec.device = arch == "volta" ? arch::GpuConfig::volta_v100(sm)
                                 : arch::GpuConfig::kepler_k40c(sm);
   spec.entry = {cli.get("code", "MXM"), *prec};
@@ -127,18 +146,15 @@ int cmd_plan(const Cli& cli) {
     // The registry resolves the compiler profile (and rejects unknown names
     // with the list of registered injectors).
     spec.profile = fault::make_injector(spec.injector)->profile();
-    auto u = [&](const char* flag, std::int64_t def) {
-      return static_cast<unsigned>(cli.get_int(flag, def));
-    };
-    spec.budget.injections_per_kind = u("injections", 120);
+    spec.budget.injections_per_kind = u32_flag(cli, "injections", 120);
     // One budget flag per stratum, named after its label: --rf, --store-value,
     // --sched, --warp-control, ...
     for (const fault::Stratum& s : fault::kStrata) {
       std::string flag(s.label);
       std::replace(flag.begin(), flag.end(), '_', '-');
-      spec.budget.*s.budget = u(flag.c_str(), 0);
+      spec.budget.*s.budget = u32_flag(cli, flag, 0);
     }
-    spec.fork_epochs = u("fork-epochs", 0);
+    spec.fork_epochs = u32_flag(cli, "fork-epochs", 0);
     spec.propagation = cli.get_bool("propagation", false);
   } else {
     spec.kind = job::JobKind::Beam;
@@ -146,14 +162,14 @@ int cmd_plan(const Cli& cli) {
     spec.ecc = cli.get_bool("ecc", true);
     const std::string mode = cli.get("mode", "accelerated");
     if (mode != "accelerated" && mode != "natural")
-      return bad_value("mode", mode, "accelerated|natural");
+      bad_value("mode", mode, "accelerated|natural");
     spec.mode = mode == "natural" ? beam::BeamMode::Natural
                                   : beam::BeamMode::Accelerated;
-    spec.runs = static_cast<unsigned>(cli.get_int("runs", 200));
+    spec.runs = u32_flag(cli, "runs", 200);
     spec.flux_scale = cli.get_double("flux-scale", 1.0);
   }
 
-  const unsigned shards = static_cast<unsigned>(cli.get_int("shards", 1));
+  const unsigned shards = u32_flag(cli, "shards", 1);
   const std::string prefix = cli.get("out");
   if (shards == 0 || prefix.empty()) return usage();
 
@@ -184,14 +200,12 @@ int cmd_run(const Cli& cli) {
 
   obs::Exporter exporter(cli.get("metrics-out"), cli.get("trace-out"));
   job::RunOptions opts;
-  opts.workers =
-      static_cast<unsigned>(cli.get_int_env("workers", "GPUREL_WORKERS", 1));
+  opts.workers = u32_flag(cli, "workers", 1, "GPUREL_WORKERS");
   opts.context.trace = exporter.trace();
   opts.context.progress = cli.get_bool_env("progress", "GPUREL_PROGRESS", false);
   opts.cache_dir = cli.get("cache-dir");  // empty → GPUREL_CACHE → disabled
   opts.checkpoint_path = cli.get("checkpoint");
-  opts.checkpoint_every =
-      static_cast<unsigned>(cli.get_int("checkpoint-every", 0));
+  opts.checkpoint_every = u32_flag(cli, "checkpoint-every", 0);
 
   const job::JobResult result = job::run_job(spec, opts);
   write_doc(out_path, job::result_to_json(result));
@@ -272,6 +286,9 @@ int main(int argc, char** argv) {
     if (cmd == "run") return cmd_run(cli);
     if (cmd == "merge") return cmd_merge(cli, positionals);
     if (cmd == "report") return cmd_report(positionals);
+  } catch (const BadValue& e) {
+    std::fprintf(stderr, "gpurel_jobs: %s\n", e.what());
+    return 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "gpurel_jobs: %s\n", e.what());
     return 2;
