@@ -136,26 +136,24 @@ print(f"job smoke OK: 3-way merge byte-identical, {hits} cache hits, "
 EOF
 
 echo "==> fork-equivalence smoke (checkpoint-fork batching is bit-identical)"
-# The same campaign planned plain and with checkpoint-fork batching must
-# produce byte-identical result documents; only the spec (and so the cache
-# key) differs, which is why the comparison strips the embedded spec.
+# One campaign spec run plain and with checkpoint-fork batching must produce
+# byte-identical result documents. Fork batching is a run option, not a
+# spec field, so both runs also print the same cache key.
+"${JOBS_BIN}" plan --kind=campaign --arch=kepler --code=MXM \
+  --precision=single --injector=SASSIFI --injections=4 --rf=8 --ia=12 \
+  --seed=13 --scale=0.05 --out="${JOB_DIR}/mxm" >/dev/null
 for fork in 0 4; do
-  "${JOBS_BIN}" plan --kind=campaign --arch=kepler --code=MXM \
-    --precision=single --injector=SASSIFI --injections=4 --rf=8 --ia=12 \
-    --seed=13 --scale=0.05 --fork-epochs="${fork}" \
-    --out="${JOB_DIR}/mxm.fork${fork}" >/dev/null
-  "${JOBS_BIN}" run --spec="${JOB_DIR}/mxm.fork${fork}.shard0of1.json" \
-    --out="${JOB_DIR}/mxm.fork${fork}.out.json" >/dev/null
-  python3 -c 'import json, sys
-json.dump(json.load(open(sys.argv[1]))["result"], open(sys.argv[2], "w"),
-          sort_keys=True)' \
-    "${JOB_DIR}/mxm.fork${fork}.out.json" "${JOB_DIR}/mxm.fork${fork}.result"
+  "${JOBS_BIN}" run --spec="${JOB_DIR}/mxm.shard0of1.json" \
+    --fork-epochs="${fork}" --out="${JOB_DIR}/mxm.fork${fork}.out.json" |
+    cut -f2 >"${JOB_DIR}/mxm.fork${fork}.key"
 done
-cmp "${JOB_DIR}/mxm.fork0.result" "${JOB_DIR}/mxm.fork4.result"
+cmp "${JOB_DIR}/mxm.fork0.out.json" "${JOB_DIR}/mxm.fork4.out.json"
+cmp "${JOB_DIR}/mxm.fork0.key" "${JOB_DIR}/mxm.fork4.key"
 # Shared snapshot pool: one capture pass serves every worker, so a forked
-# multi-worker run must emit exactly one campaign_snapshot_capture event.
+# multi-worker run must emit exactly one campaign_snapshot_capture event,
+# whose retained bytes (executor state included) exceed its memory images.
 GPUREL_TELEMETRY="${JOB_DIR}/fork.jsonl" \
-  "${JOBS_BIN}" run --spec="${JOB_DIR}/mxm.fork4.shard0of1.json" \
+  "${JOBS_BIN}" run --spec="${JOB_DIR}/mxm.shard0of1.json" --fork-epochs=4 \
   --out="${JOB_DIR}/mxm.fork4.warm.json" --workers=2 >/dev/null
 cmp "${JOB_DIR}/mxm.fork4.out.json" "${JOB_DIR}/mxm.fork4.warm.json"
 python3 - "${JOB_DIR}" <<'EOF'
@@ -165,6 +163,7 @@ evs = [json.loads(l) for l in open(f"{d}/fork.jsonl") if l.strip()]
 caps = [e for e in evs if e.get("event") == "campaign_snapshot_capture"]
 assert len(caps) == 1, f"expected exactly 1 capture event, got {len(caps)}"
 assert caps[0]["epochs"] == 4 and caps[0]["image_bytes"] > 0, caps[0]
+assert caps[0]["bytes"] > caps[0]["image_bytes"], caps[0]
 print("fork-equivalence smoke OK: forked results byte-identical, "
       "one shared snapshot capture across 2 workers")
 EOF
@@ -228,8 +227,8 @@ echo "==> microarch smoke (MicroArch campaign: strata, DUE causes, arch purity)"
 "${JOBS_BIN}" plan --kind=campaign --arch=kepler --code=MXM \
   --precision=single --injector=MicroArch --injections=0 --sched=10 \
   --scoreboard=10 --cta=10 --warp-control=10 --seed=13 --scale=0.05 \
-  --fork-epochs=4 --out="${JOB_DIR}/march" >/dev/null
-"${JOBS_BIN}" run --spec="${JOB_DIR}/march.shard0of1.json" \
+  --out="${JOB_DIR}/march" >/dev/null
+"${JOBS_BIN}" run --spec="${JOB_DIR}/march.shard0of1.json" --fork-epochs=4 \
   --out="${JOB_DIR}/march.out.json" --workers=2 >/dev/null
 python3 - "${JOB_DIR}" <<'EOF'
 import json, sys

@@ -17,6 +17,8 @@ namespace {
 /// Trace track for Study stage spans, away from the worker tids (0..N).
 constexpr int kStudyTid = 1000;
 
+constexpr std::size_t kKinds = static_cast<std::size_t>(UnitKind::kCount);
+
 /// Which functional unit a micro catalog entry characterizes.
 UnitKind micro_unit_kind(const CatalogEntry& e) {
   const bool h = e.precision == Precision::Half;
@@ -190,11 +192,13 @@ const model::FitInputs& Study::fit_inputs() {
     if (mc.kind == UnitKind::LDST) ldst = &mc;
   }
   // FP16 kinds that NVBitFI cannot inject borrow the FP32 masking estimate.
-  for (UnitKind k : {UnitKind::HADD, UnitKind::HMUL, UnitKind::HFMA,
-                     UnitKind::MMA_H}) {
-    auto& uf = in.unit(k);
+  for (std::size_t i = 0; i < kKinds; ++i) {
+    const auto half = static_cast<UnitKind>(i);
+    const UnitKind single = injectable_counterpart(half);
+    if (single == half) continue;
+    auto& uf = in.unit(half);
     if (uf.measured && uf.micro_avf <= 0.0)
-      uf.micro_avf = in.unit(injectable_counterpart(k)).micro_avf;
+      uf.micro_avf = in.unit(single).micro_avf;
   }
 
   // Device-memory per-bit rate: LDST with ECC off, minus its ECC-on (logic
@@ -377,14 +381,11 @@ Study::CodeEvaluation Study::evaluate(const CatalogEntry& entry, EvalParts parts
           *nvbitfi, single, /*aux_modes=*/false, config_.injections_per_kind,
           &sub2);
       if (single_campaign) {
-        static constexpr std::pair<UnitKind, UnitKind> kHalfMap[] = {
-            {UnitKind::HADD, UnitKind::FADD},
-            {UnitKind::HMUL, UnitKind::FMUL},
-            {UnitKind::HFMA, UnitKind::FFMA},
-            {UnitKind::MMA_H, UnitKind::MMA_F},
-        };
-        for (const auto& [half, single_kind] : kHalfMap) {
-          auto& dst = ev.nvbitfi->per_kind[static_cast<std::size_t>(half)];
+        for (std::size_t i = 0; i < kKinds; ++i) {
+          const auto half = static_cast<UnitKind>(i);
+          const UnitKind single_kind = injectable_counterpart(half);
+          if (single_kind == half) continue;
+          auto& dst = ev.nvbitfi->per_kind[i];
           const auto& src =
               single_campaign->per_kind[static_cast<std::size_t>(single_kind)];
           // The tool saw no injectable FP16 sites at all (dynamic_sites is

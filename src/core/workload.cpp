@@ -267,7 +267,8 @@ TrialResult Workload::run_trial(sim::Device& dev, sim::SimObserver* obs) {
 
 void Workload::capture_prefix(sim::Device& dev,
                               const std::vector<std::uint64_t>& marks,
-                              std::vector<sim::Snapshot>& out) {
+                              std::vector<sim::Snapshot>& out,
+                              sim::SimObserver* obs) {
   if (!prepared_)
     throw std::logic_error(name() + ": capture_prefix before prepare()");
   if (!fork_safe())
@@ -277,7 +278,7 @@ void Workload::capture_prefix(sim::Device& dev,
   dev.reset();
   outputs_.clear();
   setup(dev);
-  TrialRunner runner(dev, nullptr, watchdog_budget_);
+  TrialRunner runner(dev, obs, watchdog_budget_);
   runner.enable_capture(&marks, &out);
   execute(dev, runner);
   if (runner.due())

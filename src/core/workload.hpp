@@ -184,12 +184,14 @@ class Workload {
   /// Execute one trial against fresh device memory and classify the result.
   TrialResult run_trial(sim::Device& dev, sim::SimObserver* obs = nullptr);
 
-  /// Run the fault-free prefix of a trial once, capturing a snapshot at each
-  /// cumulative lane-instruction mark (sorted, strictly increasing, all below
-  /// the trial's total). Requires prepare() and fork_safe(); throws if the
-  /// capture run raises a DUE or misses a mark.
+  /// Run one fault-free trial, capturing a snapshot at each cumulative
+  /// lane-instruction mark (sorted, strictly increasing, all below the
+  /// trial's total). `obs` (may be null) observes the whole run and gets
+  /// on_capture after each snapshot. Requires prepare() and fork_safe();
+  /// throws if the capture run raises a DUE or misses a mark.
   void capture_prefix(sim::Device& dev, const std::vector<std::uint64_t>& marks,
-                      std::vector<sim::Snapshot>& out);
+                      std::vector<sim::Snapshot>& out,
+                      sim::SimObserver* obs = nullptr);
 
   /// Re-run the suffix of a trial from `snap`: device memory is rebuilt via
   /// setup() (bump allocation is deterministic, so addresses match), the

@@ -1,8 +1,6 @@
 #include "fault/campaign.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <numeric>
@@ -61,99 +59,32 @@ namespace {
 
 constexpr std::size_t kKinds = static_cast<std::size_t>(UnitKind::kCount);
 
-/// Per-class site counts consumed by the fault-free prefix up to one
-/// snapshot epoch. `lane_mark` is the cumulative issue-domain
-/// lane-instruction count at the epoch's end-of-cycle boundary — the same
-/// boundary the executor's capture hook uses (sim/snapshot.hpp), so a trial
-/// whose sampled target index is >= the epoch's count for its class fires
-/// strictly after the fork. `cum_cycle` is the cumulative cycle position of
-/// that same boundary (prior launches + the in-flight launch's cycle),
-/// which is how micro-architectural trials — addressed by fire cycle, not
-/// site index — are bucketed.
-struct EpochSites {
-  std::uint64_t lane_mark = 0;
-  std::uint64_t cum_cycle = 0;
-  SiteCounts at;
-};
-
-/// Fault-free pass: count the dynamic sites each mode can target. With
-/// `marks` set, additionally records the running counts at each cumulative
-/// lane-instruction mark. Marks live in the issue domain (exec-mask
-/// popcounts, exactly stats_.lane_instructions) while site counts live in
-/// the after-exec domain — the two only agree at cycle boundaries (MMA
-/// delivers after_exec for all 32 lanes regardless of mask), so crossings
-/// are detected on cycle change and flushed before the new cycle's events.
+/// Fault-free pass: count the dynamic sites each mode can target. In a
+/// capture run it also records the running counts at every snapshot: the
+/// executor calls on_capture right after appending one, when every lane of
+/// the captured state has reached after_exec and no later lane has.
 class CountingObserver final : public sim::SimObserver {
  public:
-  explicit CountingObserver(const Injector& inj,
-                            const std::vector<std::uint64_t>* marks = nullptr,
-                            std::vector<EpochSites>* epochs = nullptr)
-      : inj_(inj), marks_(marks), epochs_(epochs) {}
+  explicit CountingObserver(const Injector& inj) : inj_(inj) {}
 
-  unsigned wants() const override {
-    return kWantsAfterExec | (marks_ != nullptr ? kWantsWarpIssue : 0u);
-  }
-
-  void on_warp_issue(const sim::WarpIssue& wi) override {
-    if (wi.cycle != cycle_) {
-      flush();
-      cycle_ = wi.cycle;
-    }
-    lanes_ += static_cast<unsigned>(std::popcount(wi.exec_mask));
-  }
-
-  void on_launch_end(const sim::LaunchStats& st) override {
-    flush();
-    // Cumulative-cycle base for the next launch's epochs — the same
-    // accumulation a snapshot's `prior` stats carry, so cum_cycle matches
-    // the resumed position of a forked trial exactly.
-    launch_base_ += st.cycles;
-    cycle_ = std::numeric_limits<std::uint64_t>::max();
-  }
+  unsigned wants() const override { return kWantsAfterExec; }
 
   void after_exec(sim::ExecContext& ctx) override {
-    ++total_lane_;
-    if (isa::writes_predicate(ctx.instr->op)) ++pred_;
+    ++sites.total_lane;
+    if (isa::writes_predicate(ctx.instr->op)) ++sites.pred;
     if (ctx.instr->op == isa::Opcode::STG || ctx.instr->op == isa::Opcode::STS)
-      ++stores_;
+      ++sites.stores;
     if (inj_.eligible_output(*ctx.instr))
-      ++per_kind_[static_cast<std::size_t>(isa::unit_kind(ctx.instr->op))];
+      ++sites.per_kind[static_cast<std::size_t>(isa::unit_kind(ctx.instr->op))];
   }
 
-  std::array<std::uint64_t, kKinds> per_kind_{};
-  std::uint64_t pred_ = 0;
-  std::uint64_t stores_ = 0;
-  std::uint64_t total_lane_ = 0;
+  void on_capture() override { at_capture.push_back(sites); }
+
+  SiteCounts sites;
+  std::vector<SiteCounts> at_capture;  // one per snapshot, in capture order
 
  private:
-  void flush() {
-    if (marks_ == nullptr) return;
-    while (next_mark_ < marks_->size() && (*marks_)[next_mark_] <= lanes_) {
-      EpochSites e;
-      e.lane_mark = lanes_;
-      // The executor snapshots at this same boundary with its cycle counter
-      // still on the last issued cycle, so `prior.cycles + exec cycle` of
-      // the snapshot equals exactly this value.
-      e.cum_cycle = launch_base_ + (cycle_ == std::numeric_limits<
-                                                  std::uint64_t>::max()
-                                        ? 0
-                                        : cycle_);
-      e.at.per_kind = per_kind_;
-      e.at.pred = pred_;
-      e.at.stores = stores_;
-      e.at.total_lane = total_lane_;
-      epochs_->push_back(e);
-      ++next_mark_;
-    }
-  }
-
   const Injector& inj_;
-  const std::vector<std::uint64_t>* marks_;
-  std::vector<EpochSites>* epochs_;
-  std::uint64_t lanes_ = 0;   // issue-domain cumulative lane instructions
-  std::uint64_t cycle_ = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t launch_base_ = 0;  // cycles of completed launches
-  std::size_t next_mark_ = 0;
 };
 
 /// One-shot single-fault observer.
@@ -340,23 +271,15 @@ void check_instrumentable(const Injector& injector, const core::Workload& w) {
         injector.name());
 }
 
-/// Fault-free counting run over an already prepared workload. With `marks`
-/// set, also fills `epochs` with the per-mode counts at each mark.
+/// Fault-free counting run over an already prepared workload.
 SiteCounts count_prepared(const Injector& injector, core::Workload& w,
-                          sim::Device& dev,
-                          const std::vector<std::uint64_t>* marks = nullptr,
-                          std::vector<EpochSites>* epochs = nullptr) {
-  CountingObserver counter(injector, marks, epochs);
+                          sim::Device& dev) {
+  CountingObserver counter(injector);
   const auto r = w.run_trial(dev, &counter);
   if (r.outcome != core::Outcome::Masked)
     throw std::logic_error("counting pass produced a non-masked outcome for " +
                            w.name());
-  SiteCounts sites;
-  sites.per_kind = counter.per_kind_;
-  sites.pred = counter.pred_;
-  sites.stores = counter.stores_;
-  sites.total_lane = counter.total_lane_;
-  return sites;
+  return counter.sites;
 }
 
 /// Per-trial fault sampling draws, shared verbatim by the fork planner and
@@ -384,9 +307,11 @@ struct CampaignPlan {
   std::array<bool, kSiteClasses> zero_site{};
   std::vector<std::size_t> owned;  // this shard's trial ids
   std::size_t skip = 0;            // owned positions the resume covers
-  // Fork batching (all empty when the campaign runs plain).
-  std::vector<std::uint64_t> marks;
-  std::vector<EpochSites> epochs;
+  // Fork batching (all empty when the campaign runs plain): the shared
+  // snapshot set, captured once on the reference instance and only read by
+  // the workers, and the site counts the prefix consumed up to each one.
+  std::vector<sim::Snapshot> snaps;
+  std::vector<SiteCounts> snap_sites;
   std::vector<int> trial_epoch;  // by trial id; -1 = run from scratch
 
   bool forking() const { return !trial_epoch.empty(); }
@@ -469,20 +394,23 @@ void plan_trials(const Injector& injector, const CampaignConfig& config,
 /// consumes only sites strictly before the trial's target, so the injection
 /// fires inside the resumed suffix. Micro-architectural trials are bucketed
 /// by simulated-time position instead: an epoch is valid when its boundary
-/// is at or before the fire cycle (advance windows are [from, to), so a
-/// fire exactly on the boundary still lands in the resumed suffix).
+/// (prior launches' cycles plus the in-flight launch's cycle) is at or
+/// before the fire cycle (advance windows are [from, to), so a fire exactly
+/// on the boundary still lands in the resumed suffix).
 void plan_fork_epochs(CampaignPlan& plan) {
   plan.trial_epoch.assign(plan.trials.size(), -1);
-  const auto n = static_cast<int>(plan.epochs.size());
+  const auto n = static_cast<int>(plan.snaps.size());
   for (const std::size_t t : plan.owned) {
     const TrialDesc& d = plan.trials[t];
     if (plan.zero_site[static_cast<std::size_t>(d.cls)]) continue;
     const TrialSample s = sample_trial(plan, d);
     auto fires_after = [&](int e) {
-      const EpochSites& es = plan.epochs[static_cast<std::size_t>(e)];
+      const auto i = static_cast<std::size_t>(e);
+      const sim::Snapshot& snap = plan.snaps[i];
       return is_microarch(d.cls)
-                 ? es.cum_cycle <= s.fire_cycle
-                 : class_sites(es.at, d.cls, d.kind) <= s.target_index;
+                 ? snap.prior.cycles + snap.exec.cycle <= s.fire_cycle
+                 : class_sites(plan.snap_sites[i], d.cls, d.kind) <=
+                       s.target_index;
     };
     int e = -1;
     while (e + 1 < n && fires_after(e + 1)) ++e;
@@ -491,8 +419,9 @@ void plan_fork_epochs(CampaignPlan& plan) {
 }
 
 /// Plan step: validate the configuration against the prepared reference
-/// instance, count sites (and per-epoch sites when forking), build the
-/// trial list, select this shard's trials and bucket them by fork epoch.
+/// instance, count sites (capturing the fork snapshots in the same pass when
+/// forking), build the trial list, select this shard's trials and bucket
+/// them by fork epoch.
 CampaignPlan plan_campaign(const Injector& injector, core::Instance& ref,
                            const CampaignConfig& config) {
   core::Workload& w = *ref.w;
@@ -509,15 +438,20 @@ CampaignPlan plan_campaign(const Injector& injector, core::Instance& ref,
         " uses no architectural registers");
 
   CampaignPlan plan;
-  if (config.fork_epochs > 0 && w.fork_safe())
-    plan.marks = fork_marks(w.golden_stats().lane_instructions,
-                            config.fork_epochs);
-  const bool forking = !plan.marks.empty();
-  // Site counts: one fault-free run, which also records the running counts
-  // at each fork mark.
-  plan.site_counts = count_prepared(injector, w, *ref.dev,
-                                    forking ? &plan.marks : nullptr,
-                                    forking ? &plan.epochs : nullptr);
+  const std::vector<std::uint64_t> marks =
+      config.fork_epochs > 0 && w.fork_safe()
+          ? fork_marks(w.golden_stats().lane_instructions, config.fork_epochs)
+          : std::vector<std::uint64_t>{};
+  // Site counts: one fault-free run. When forking it is also the capture
+  // run, and the counter records the running counts at each snapshot.
+  if (marks.empty()) {
+    plan.site_counts = count_prepared(injector, w, *ref.dev);
+  } else {
+    CountingObserver counter(injector);
+    w.capture_prefix(*ref.dev, marks, plan.snaps, &counter);
+    plan.site_counts = counter.sites;
+    plan.snap_sites = std::move(counter.at_capture);
+  }
   plan.space = injector.enumerate_sites(w, w.config().gpu);
   plan.layout = microarch_layout(w, w.config().gpu);
   plan.golden_cycles = w.golden_stats().cycles;
@@ -545,9 +479,7 @@ CampaignPlan plan_campaign(const Injector& injector, core::Instance& ref,
           "checkpoint (the skipped prefix has no per-trial records)");
     plan.skip = static_cast<std::size_t>(config.resume->trials_done);
   }
-  // A missed mark disables forking, not trials (defensive).
-  if (forking && plan.epochs.size() == plan.marks.size())
-    plan_fork_epochs(plan);
+  if (!plan.snaps.empty()) plan_fork_epochs(plan);
   return plan;
 }
 
@@ -625,7 +557,6 @@ void stamp_terminal(obs::PropagationRecord& rec, const core::TrialResult& r,
 struct TrialBody {
   const Injector& injector;
   const CampaignPlan& plan;
-  const std::vector<sim::Snapshot>& snaps;  // the shared snapshot set
   bool propagation;
   TrialRecords& rec;
   obs::Counter& m_trials = obs::Registry::global().counter(
@@ -696,13 +627,14 @@ void TrialBody::run(core::Instance& inst, std::size_t t) const {
   if (epoch >= 0) {
     const auto e = static_cast<std::size_t>(epoch);
     if (march) {
-      march->preset_cycle_base(snaps[e].prior.cycles);
+      march->preset_cycle_base(plan.snaps[e].prior.cycles);
     } else {
-      const SiteCounts& at = plan.epochs[e].at;
+      const SiteCounts& at = plan.snap_sites[e];
       inj.preset_counts(class_sites(at, desc.cls, desc.kind));
       if (propagation) prop.preset_lane_count(at.total_lane);
     }
-    r = inst.w->run_trial_forked(*inst.dev, snaps[e], observer, /*delta=*/true);
+    r = inst.w->run_trial_forked(*inst.dev, plan.snaps[e], observer,
+                                 /*delta=*/true);
     m_restore_bytes.add(inst.w->last_restore_bytes());
   } else {
     r = inst.w->run_trial(*inst.dev, observer);
@@ -789,40 +721,14 @@ std::vector<std::size_t> chunk_order(const CampaignPlan& plan,
   return ps;
 }
 
-/// The shared snapshot set: the fault-free prefix captured ONCE, on the
-/// reference instance, before dispatch; every worker reads the same
-/// immutable snapshots, so no synchronization is needed. Empty when no
-/// executed trial forks.
-std::vector<sim::Snapshot> capture_shared_snapshots(const CampaignPlan& plan,
-                                                    core::Instance& ref,
-                                                    const std::string& workload,
-                                                    telemetry::Sink* sink) {
-  std::vector<sim::Snapshot> snaps;
-  bool any_fork = false;
-  for (std::size_t p = 0; p < plan.todo() && plan.forking() && !any_fork; ++p)
-    any_fork = plan.trial_epoch[plan.trial_at(p)] >= 0;
-  if (!any_fork) return snaps;
-  ref.w->capture_prefix(*ref.dev, plan.marks, snaps);
-  std::uint64_t bytes = 0;
-  for (const sim::Snapshot& s : snaps) bytes += s.memory.size();
-  obs::Registry::global().counter("gpurel_campaign_snapshots_total")
-      .add(snaps.size());
-  // One capture pass = one event; the ci.sh fork leg asserts exactly one
-  // per campaign regardless of worker count.
-  if (sink != nullptr)
-    sink->emit("campaign_snapshot_capture", {{"workload", workload},
-                                             {"epochs", snaps.size()},
-                                             {"image_bytes", bytes}});
-  return snaps;
-}
-
 /// Snapshot-pool footprint: the bytes retained for fork batching — the
-/// shared snapshot images plus every worker's delta-tracking dirty scratch.
-/// set_max keeps the high-water mark across campaigns in one process.
-void record_pool_bytes(const std::vector<sim::Snapshot>& snaps,
+/// shared snapshot set (images plus executor state) and every worker's
+/// delta-tracking dirty scratch. set_max keeps the high-water mark across
+/// campaigns in one process.
+void record_pool_bytes(const CampaignPlan& plan,
                        const std::vector<core::Instance>& instances) {
   std::uint64_t pool_bytes = 0;
-  for (const sim::Snapshot& s : snaps) pool_bytes += s.memory.size();
+  for (const sim::Snapshot& s : plan.snaps) pool_bytes += s.bytes();
   for (const core::Instance& inst : instances)
     if (inst.dev) pool_bytes += inst.dev->memory().dirty_scratch_bytes();
   obs::Registry::global()
@@ -980,8 +886,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
                 {"shard_index", config.shard_index},
                 {"shard_count", config.shard_count},
                 {"resumed_trials", std::uint64_t{plan.skip}},
-                {"fork_epochs", plan.forking() ? plan.marks.size()
-                                               : std::size_t{0}}});
+                {"fork_epochs", plan.snaps.size()}});
     for (std::size_t c = 0; c < kSiteClasses; ++c)
       if (plan.zero_site[c])
         sink->emit("campaign_zero_site_mode",
@@ -991,8 +896,23 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
                     {"resolution", "masked"}});
   }
 
-  const std::vector<sim::Snapshot> snaps =
-      capture_shared_snapshots(plan, ref, header.workload, sink);
+  if (plan.forking()) {
+    obs::Registry::global().counter("gpurel_campaign_snapshots_total")
+        .add(plan.snaps.size());
+    // One capture pass = one event; the ci.sh fork leg asserts exactly one
+    // per campaign regardless of worker count.
+    if (sink != nullptr) {
+      std::uint64_t image_bytes = 0, bytes = 0;
+      for (const sim::Snapshot& s : plan.snaps) {
+        image_bytes += s.memory.size();
+        bytes += s.bytes();
+      }
+      sink->emit("campaign_snapshot_capture", {{"workload", header.workload},
+                                               {"epochs", plan.snaps.size()},
+                                               {"image_bytes", image_bytes},
+                                               {"bytes", bytes}});
+    }
+  }
 
   // Execute step.
   TrialRecords rec;
@@ -1001,7 +921,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   if (config.trial_cycles_out != nullptr)
     rec.cycles.assign(plan.trials.size(), 0);
   if (config.propagation) rec.props.resize(plan.trials.size());
-  const TrialBody body{injector, plan, snaps, config.propagation, rec};
+  const TrialBody body{injector, plan, config.propagation, rec};
   CheckpointFrontier frontier(config, plan, rec, header);
   telemetry::Progress progress(config.progress, "campaign " + header.workload,
                                todo);
@@ -1031,7 +951,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
       workers, todo, std::move(ref),
       [&] { return core::make_instance(factory); }, run_chunk);
 
-  if (plan.forking()) record_pool_bytes(snaps, instances);
+  if (plan.forking()) record_pool_bytes(plan, instances);
 
   // Tally step, serially in trial order; a resumed prefix contributes
   // through its checkpoint tallies (integer sums, so the combined result is

@@ -219,8 +219,8 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
   std::vector<core::Outcome>* trial_outcomes_out = nullptr;
 
   /// Checkpoint-fork trial batching: when > 0 and the workload is fork-safe
-  /// (core::Workload::fork_safe), the shared fault-free prefix is simulated
-  /// once, before workers start, snapshotting device state at up to this
+  /// (core::Workload::fork_safe), the fault-free site-counting pass, run
+  /// once before workers start, also snapshots device state at up to this
   /// many evenly spaced epochs; every worker reads that one snapshot set, and
   /// every trial whose injection fires after an epoch resumes from the
   /// deepest valid snapshot instead of re-simulating the prefix (delta

@@ -116,7 +116,7 @@ JobResult run_job(const JobSpec& spec, const RunOptions& opts) {
     cc.context() = opts.context;
     cc.seed = spec.seed;
     cc.workers = opts.workers;
-    cc.fork_epochs = spec.fork_epochs;
+    cc.fork_epochs = opts.fork_epochs;
     cc.propagation = spec.propagation;
     cc.shard_index = spec.shard.index;
     cc.shard_count = spec.shard.count;

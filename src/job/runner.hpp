@@ -2,7 +2,7 @@
 // layer, and tests all share: cache lookup → engine execution → cache store,
 // with optional crash-resumable checkpointing for campaign jobs.
 //
-// Execution knobs (workers, observability, cache directory,
+// Execution knobs (workers, fork batching, observability, cache directory,
 // checkpoint cadence) live in RunOptions, NOT in the spec: they cannot
 // change results (per-trial seeding), so they must not change the content
 // hash either.
@@ -18,6 +18,10 @@ namespace gpurel::job {
 
 struct RunOptions {
   unsigned workers = 1;
+  /// Campaign jobs only: checkpoint-fork trial batching
+  /// (fault::CampaignConfig::fork_epochs). Results are bit-identical at any
+  /// value, so a forked run shares its plain twin's cache entry.
+  unsigned fork_epochs = 0;
   /// Telemetry/trace/progress wiring forwarded to the engine config.
   obs::RunContext context;
   /// Result cache directory; empty → GPUREL_CACHE env var → cache disabled.

@@ -54,7 +54,6 @@ Value spec_to_json(const JobSpec& spec) {
     c.set("budget", std::move(b));
     // Only serialized when enabled: hashes of pre-existing specs must not
     // move just because the field now exists.
-    if (spec.fork_epochs != 0) c.set("fork_epochs", spec.fork_epochs);
     if (spec.propagation) c.set("propagation", spec.propagation);
     v.set("campaign", std::move(c));
   } else {
@@ -110,10 +109,10 @@ JobSpec spec_from_json(const Value& doc) {
       if (!fault::is_microarch(s.cls) || b.find(key) != nullptr)
         spec.budget.*s.budget = json::get_u32(b, key);
     }
-    if (c.find("fork_epochs") != nullptr)
-      spec.fork_epochs = json::get_u32(c, "fork_epochs");
-    // "fork_delta" (delta snapshot restores, now always on) is a legacy key:
-    // older spec files may carry it and it is ignored.
+    // "fork_epochs" (now job::RunOptions::fork_epochs) and "fork_delta"
+    // (delta snapshot restores, now always on) are legacy keys: older spec
+    // files may carry them and they are ignored, since neither changes a
+    // result.
     if (const Value* pr = c.find("propagation")) spec.propagation = pr->as_bool();
   } else {
     const Value& b = doc.at("beam");

@@ -72,11 +72,6 @@ struct JobSpec {
   // --- campaign jobs -------------------------------------------------------
   std::string injector = "SASSIFI";  // "SASSIFI" | "NVBitFI"
   fault::InjectionBudget budget;
-  /// Checkpoint-fork trial batching (CampaignConfig::fork_epochs). Results
-  /// are bit-identical at any value, but the field is part of the spec so a
-  /// planned corpus records how it was (or should be) executed; it is only
-  /// serialized when nonzero, so existing spec hashes are unchanged.
-  unsigned fork_epochs = 0;
   /// Fault-propagation flight recorder (CampaignConfig::propagation). The
   /// observer is outcome-neutral but the flag is part of the spec so a cached
   /// result records whether it carries a propagation report; serialized only

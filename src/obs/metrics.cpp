@@ -274,8 +274,9 @@ const char* metric_help(const std::string& name) {
       {"gpurel_campaign_snapshots_total",
        "Fork-prefix snapshots captured across workers"},
       {"gpurel_campaign_snapshot_pool_bytes",
-       "Bytes retained for fork batching: snapshot memory images of each "
-       "distinct pool plus per-worker dirty-tracking scratch"},
+       "Bytes retained for fork batching: the shared snapshot set (memory "
+       "images, warp state and shared memory) plus per-worker "
+       "dirty-tracking scratch"},
       {"gpurel_campaign_snapshot_restore_bytes_total",
        "Snapshot image bytes copied back by forked-trial restores (the "
        "dirty subset on delta restores)"},

@@ -150,31 +150,18 @@ void Executor::rebuild_live_lists() {
   }
 }
 
-// The _raw variants hand out the next pool slot without reinitialising it.
-// Only the snapshot-restore path may use them: it assigns every field the
-// initialising variants would have cleared (registers, scoreboards, shared
-// memory), so the clears would be dead stores — and they dominate full
-// restore cost (a warp's lanes + scoreboard are ~34 KB).
-BlockRt* Executor::acquire_block_raw() {
+BlockRt* Executor::acquire_block() {
   if (blocks_used_ == block_pool_.size())
     block_pool_.push_back(std::make_unique<BlockRt>());
-  return block_pool_[blocks_used_++].get();
-}
-
-BlockRt* Executor::acquire_block() {
-  BlockRt* b = acquire_block_raw();
+  BlockRt* b = block_pool_[blocks_used_++].get();
   b->shared_dirty = true;
   return b;
 }
 
-WarpRt* Executor::acquire_warp_raw() {
+WarpRt* Executor::acquire_warp() {
   if (warps_used_ == warp_pool_.size())
     warp_pool_.push_back(std::make_unique<WarpRt>());
-  return warp_pool_[warps_used_++].get();
-}
-
-WarpRt* Executor::acquire_warp() {
-  WarpRt* w = acquire_warp_raw();
+  WarpRt* w = warp_pool_[warps_used_++].get();
   w->pc = 0;
   w->stack.clear();
   w->exited = false;
@@ -261,7 +248,7 @@ Snapshot Executor::make_snapshot(std::uint64_t cycle,
   return snap;
 }
 
-void Executor::restore_snapshot(const ExecutorSnapshot& snap) {
+void Executor::restore_snapshot(const ExecutorSnapshot& snap, bool delta) {
   stats_ = snap.stats;
   next_block_ = snap.next_block;
   total_blocks_ = snap.total_blocks;
@@ -269,16 +256,31 @@ void Executor::restore_snapshot(const ExecutorSnapshot& snap) {
   next_warp_id_ = snap.next_warp_id;
   max_blocks_per_sm_ = snap.max_blocks_per_sm;
 
-  // Live-set compaction: watermarks restart at the captured live counts;
-  // pool slots past them are reinitialised by place_block/acquire_warp when
-  // (if) they are reused later in the resumed run.
-  blocks_used_ = 0;
-  warps_used_ = 0;
-  std::vector<BlockRt*> blocks(snap.blocks.size());
-  std::vector<WarpRt*> warps(snap.warps.size());
+  // Live-set compaction: slot i takes entity i and the watermarks restart at
+  // the captured live counts; slots past them are reinitialised by
+  // place_block/acquire_warp when (if) the resumed run reuses them. Under
+  // `delta` the previous resume did the same, so slots below the watermarks
+  // were never re-acquired and hold their entity's state up to the flagged
+  // mutations; blocks placed later in that run are simply dropped here.
+  blocks_used_ = snap.blocks.size();
+  warps_used_ = snap.warps.size();
+  while (block_pool_.size() < blocks_used_)
+    block_pool_.push_back(std::make_unique<BlockRt>());
+  while (warp_pool_.size() < warps_used_)
+    warp_pool_.push_back(std::make_unique<WarpRt>());
+  auto block_at = [&](std::size_t i) {
+    if (i >= blocks_used_)
+      throw std::out_of_range("Executor::restore_snapshot: block index");
+    return block_pool_[i].get();
+  };
+  auto warp_at = [&](std::size_t i) {
+    if (i >= warps_used_)
+      throw std::out_of_range("Executor::restore_snapshot: warp index");
+    return warp_pool_[i].get();
+  };
   for (std::size_t i = 0; i < snap.blocks.size(); ++i) {
     const BlockSnap& bs = snap.blocks[i];
-    BlockRt* b = acquire_block_raw();
+    BlockRt* b = block_pool_[i].get();
     b->cta_x = bs.cta_x;
     b->cta_y = bs.cta_y;
     b->sm = bs.sm;
@@ -286,15 +288,19 @@ void Executor::restore_snapshot(const ExecutorSnapshot& snap) {
     b->warps_total = bs.warps_total;
     b->warps_exited = bs.warps_exited;
     b->warps_at_barrier = bs.warps_at_barrier;
-    b->shared = bs.shared;
-    b->shared_dirty = false;  // slot now equals snapshot entity i
+    if (!delta || b->shared_dirty) {
+      b->shared = bs.shared;
+      b->shared_dirty = false;  // slot now equals snapshot entity i
+    }
     b->warps.clear();
-    blocks[i] = b;
   }
   for (std::size_t i = 0; i < snap.warps.size(); ++i) {
     const WarpSnap& ws = snap.warps[i];
-    WarpRt* w = acquire_warp_raw();
-    w->block = blocks.at(ws.block_index);
+    WarpRt* w = warp_pool_[i].get();
+    w->block = block_at(ws.block_index);
+    // Scheduling scalars are rewritten unconditionally (stalled warps mutate
+    // next_try without being flagged); only the heavy architectural arrays
+    // are gated on the dirty flag.
     w->sm = ws.sm;
     w->scheduler = ws.scheduler;
     w->warp_id = ws.warp_id;
@@ -305,82 +311,21 @@ void Executor::restore_snapshot(const ExecutorSnapshot& snap) {
     w->exited = ws.exited;
     w->at_barrier = ws.at_barrier;
     w->next_try = ws.next_try;
-    w->reg_ready = ws.reg_ready;
-    w->pred_ready = ws.pred_ready;
-    w->lanes = ws.lanes;
-    w->dirty = false;  // slot now equals snapshot entity i
-    warps[i] = w;
-  }
-  for (std::size_t i = 0; i < snap.blocks.size(); ++i)
-    for (std::size_t wi : snap.blocks[i].warps)
-      blocks[i]->warps.push_back(warps.at(wi));
-  for (std::size_t sm = 0; sm < sms_.size(); ++sm) {
-    const SmSnap& ss = snap.sms.at(sm);
-    SmState& s = sms_[sm];
-    for (std::size_t bi : ss.blocks) s.blocks.push_back(blocks.at(bi));
-    for (std::size_t wi : ss.warps) s.warps.push_back(warps.at(wi));
-    s.rr = ss.rr;
-    s.resident_warps = ss.resident_warps;
-    s.next_wake = ss.next_wake;
-    s.touched = false;
-  }
-  rebuild_live_lists();
-}
-
-void Executor::restore_snapshot_delta(const ExecutorSnapshot& snap) {
-  stats_ = snap.stats;
-  next_block_ = snap.next_block;
-  total_blocks_ = snap.total_blocks;
-  completed_blocks_ = snap.completed_blocks;
-  next_warp_id_ = snap.next_warp_id;
-  max_blocks_per_sm_ = snap.max_blocks_per_sm;
-
-  // Residency invariant: the previous resume restored pool slot i from
-  // snapshot entity i and the watermarks restarted at the captured counts,
-  // so slots below them were never re-acquired — slot i still holds entity
-  // i's state up to the flagged mutations. Blocks placed later in that run
-  // live above the watermark and are simply dropped here.
-  blocks_used_ = snap.blocks.size();
-  warps_used_ = snap.warps.size();
-  for (std::size_t i = 0; i < snap.blocks.size(); ++i) {
-    const BlockSnap& bs = snap.blocks[i];
-    BlockRt* b = block_pool_[i].get();
-    b->warps_exited = bs.warps_exited;
-    b->warps_at_barrier = bs.warps_at_barrier;
-    if (b->shared_dirty) {
-      b->shared = bs.shared;
-      b->shared_dirty = false;
-    }
-    b->warps.clear();
-  }
-  for (std::size_t i = 0; i < snap.warps.size(); ++i) {
-    const WarpSnap& ws = snap.warps[i];
-    WarpRt* w = warp_pool_[i].get();
-    w->block = block_pool_[ws.block_index].get();
-    // Scheduling scalars are rewritten unconditionally (stalled warps mutate
-    // next_try without being flagged); only the heavy architectural arrays
-    // are gated on the dirty flag.
-    w->pc = ws.pc;
-    w->active = ws.active;
-    w->stack = ws.stack;
-    w->exited = ws.exited;
-    w->at_barrier = ws.at_barrier;
-    w->next_try = ws.next_try;
-    if (w->dirty) {
+    if (!delta || w->dirty) {
       w->reg_ready = ws.reg_ready;
       w->pred_ready = ws.pred_ready;
       w->lanes = ws.lanes;
-      w->dirty = false;
+      w->dirty = false;  // slot now equals snapshot entity i
     }
   }
   for (std::size_t i = 0; i < snap.blocks.size(); ++i)
     for (std::size_t wi : snap.blocks[i].warps)
-      block_pool_[i]->warps.push_back(warp_pool_[wi].get());
+      block_pool_[i]->warps.push_back(warp_at(wi));
   for (std::size_t sm = 0; sm < sms_.size(); ++sm) {
     const SmSnap& ss = snap.sms.at(sm);
     SmState& s = sms_[sm];
-    for (std::size_t bi : ss.blocks) s.blocks.push_back(block_pool_[bi].get());
-    for (std::size_t wi : ss.warps) s.warps.push_back(warp_pool_[wi].get());
+    for (std::size_t bi : ss.blocks) s.blocks.push_back(block_at(bi));
+    for (std::size_t wi : ss.warps) s.warps.push_back(warp_at(wi));
     s.rr = ss.rr;
     s.resident_warps = ss.resident_warps;
     s.next_wake = ss.next_wake;
@@ -1176,11 +1121,8 @@ LaunchStats Executor::run(const KernelLaunch& launch, SimObserver* observer,
     // scheduler, stats, and warp state come from the snapshot. next_wake is
     // restored verbatim, so the first event of the resumed loop is exactly
     // the event the capturing run processed next. When the pools are still
-    // resident on this very snapshot, only dirty slots are copied back.
-    if (fork->delta && resident_ == resume)
-      restore_snapshot_delta(resume->exec);
-    else
-      restore_snapshot(resume->exec);
+    // resident on this very snapshot, clean slots skip their heavy arrays.
+    restore_snapshot(resume->exec, fork->delta && resident_ == resume);
     resident_ = fork->delta ? resume : nullptr;
   }
 
@@ -1190,6 +1132,17 @@ LaunchStats Executor::run(const KernelLaunch& launch, SimObserver* observer,
   }
 
   std::uint64_t cycle = resume != nullptr ? resume->exec.cycle : 0;
+  // Appends a snapshot for each remaining mark the trial's cumulative lane
+  // count has reached, telling the observer after each one.
+  auto capture = [&] {
+    const std::uint64_t mark = fork->lane_base + stats_.lane_instructions;
+    while (fork->next_mark < fork->marks->size() &&
+           (*fork->marks)[fork->next_mark] <= mark) {
+      fork->out->push_back(make_snapshot(cycle, mark));
+      ++fork->next_mark;
+      if (obs_ != nullptr) obs_->on_capture();
+    }
+  };
   while (completed_blocks_ < total_blocks_ && due_ == DueKind::None) {
     // Next event: the earliest per-SM wake cycle (each SM caches the min
     // next_try over its schedulable warps).
@@ -1199,19 +1152,11 @@ LaunchStats Executor::run(const KernelLaunch& launch, SimObserver* observer,
     // Cycle-boundary capture. One cycle value can span several loop
     // iterations (warps an issue-limited scheduler skipped keep next_wake at
     // the current cycle), so the body's end is not the cycle's end; only
-    // when the next event is strictly later has `cycle` fully retired. That
-    // is the same boundary the site-counting observer sees (it flushes when
-    // an issued warp's cycle changes), keeping epoch site counts and
-    // snapshot state consistent — a mid-cycle snapshot would hold less
-    // progress than the counts claim and skew forked injections early.
-    if (capturing && due_ == DueKind::None && next > cycle) {
-      const std::uint64_t mark = fork->lane_base + stats_.lane_instructions;
-      while (fork->next_mark < fork->marks->size() &&
-             (*fork->marks)[fork->next_mark] <= mark) {
-        fork->out->push_back(make_snapshot(cycle, mark));
-        ++fork->next_mark;
-      }
-    }
+    // when the next event is strictly later has `cycle` fully retired. A
+    // mid-cycle snapshot would hold less progress than its lane mark claims.
+    // on_capture reports this one boundary to the observer, so the site
+    // counts a counting observer records there match the snapshot.
+    if (capturing && due_ == DueKind::None && next > cycle) capture();
 
     if (next == std::numeric_limits<std::uint64_t>::max()) {
       raise_due(DueKind::BarrierDeadlock);
@@ -1283,18 +1228,10 @@ LaunchStats Executor::run(const KernelLaunch& launch, SimObserver* observer,
   }
 
   // Final-cycle capture: marks crossed by the launch's last cycle never see
-  // a later event inside the loop, so they are flushed here (the counting
-  // observer's on_launch_end flush is the matching boundary). Resuming such
+  // a later event inside the loop, so they are flushed here. Resuming such
   // a snapshot re-enters the loop with every block complete and exits
   // immediately, which is exactly the state it captured.
-  if (capturing && due_ == DueKind::None) {
-    const std::uint64_t mark = fork->lane_base + stats_.lane_instructions;
-    while (fork->next_mark < fork->marks->size() &&
-           (*fork->marks)[fork->next_mark] <= mark) {
-      fork->out->push_back(make_snapshot(cycle, mark));
-      ++fork->next_mark;
-    }
-  }
+  if (capturing && due_ == DueKind::None) capture();
 
   stats_.cycles = cycle;
   stats_.due = due_;

@@ -112,22 +112,17 @@ class Executor final : public Machine {
 
   BlockRt* acquire_block();
   WarpRt* acquire_warp();
-  /// Pool slots without reinitialisation — restore_snapshot only, which
-  /// overwrites every field the initialising variants clear.
-  BlockRt* acquire_block_raw();
-  WarpRt* acquire_warp_raw();
   /// Snapshot the live executor + allocated global memory at end-of-cycle.
   Snapshot make_snapshot(std::uint64_t cycle, std::uint64_t lane_mark) const;
   /// Rebuild pools, SM lists, and counters from a snapshot (global memory is
-  /// restored by the caller — see Workload::run_trial_forked).
-  void restore_snapshot(const ExecutorSnapshot& snap);
-  /// Delta variant: valid only while the executor is resident on the same
-  /// snapshot (pool slot i still corresponds to snapshot entity i, and every
-  /// architectural mutation since the last restore set a dirty flag). Copies
-  /// back the heavy per-warp arrays only for dirty slots; scheduling scalars,
-  /// SM lists, and counters are always restored. Bit-identical to the full
-  /// restore.
-  void restore_snapshot_delta(const ExecutorSnapshot& snap);
+  /// restored by the caller — see Workload::run_trial_forked). Pool slot i
+  /// takes snapshot entity i. `delta` is valid only while the executor is
+  /// resident on the same snapshot (slot i still holds entity i, and every
+  /// architectural mutation since the last restore set a dirty flag): clean
+  /// slots then keep their registers, scoreboards and shared memory, while
+  /// scalars, SM lists and counters are always rewritten. Bit-identical
+  /// either way.
+  void restore_snapshot(const ExecutorSnapshot& snap, bool delta);
   void refresh_wake(SmState& s);
   void place_block(unsigned sm, unsigned linear_block, std::uint64_t cycle);
   void remove_block(BlockRt* block, std::uint64_t cycle);

@@ -112,8 +112,9 @@ class SimObserver {
   /// at every cycle boundary, skipping dispatch (including per-lane
   /// ExecContext construction) for unclaimed hooks, so bare and
   /// sparsely-instrumented runs pay nothing for the hooks they don't use.
-  /// on_launch_begin/on_launch_end are always delivered (once per launch —
-  /// not worth a bit). Overriding wants() is a pure optimization: the
+  /// on_launch_begin/on_launch_end and on_capture are always delivered (a
+  /// few calls per launch — not worth a bit). Overriding wants() is a pure
+  /// optimization: the
   /// default claims everything, and because default hook bodies are no-ops,
   /// skipping an unclaimed hook never changes behaviour. An observer that
   /// overrides a hook MUST claim its bit while calls to it could do
@@ -130,6 +131,11 @@ class SimObserver {
 
   virtual void on_launch_begin(const LaunchInfo&, Machine&) {}
   virtual void on_launch_end(const LaunchStats&) {}
+  /// A capture run (sim::ForkIO::marks) just appended one snapshot. Every
+  /// hook of the captured state has been delivered and none after it, so
+  /// state an observer accumulates here matches that snapshot exactly; the
+  /// site-counting pass records its per-class counts this way.
+  virtual void on_capture() {}
   /// Simulated time advanced from `from` (exclusive) to `to` (inclusive).
   virtual void on_time_advance(std::uint64_t /*from*/, std::uint64_t /*to*/,
                                Machine&) {}
@@ -166,6 +172,10 @@ class TeeObserver final : public SimObserver {
   void on_launch_end(const LaunchStats& s) override {
     if (a_ != nullptr) a_->on_launch_end(s);
     if (b_ != nullptr) b_->on_launch_end(s);
+  }
+  void on_capture() override {
+    if (a_ != nullptr) a_->on_capture();
+    if (b_ != nullptr) b_->on_capture();
   }
   void on_time_advance(std::uint64_t from, std::uint64_t to,
                        Machine& m) override {

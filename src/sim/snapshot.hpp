@@ -12,10 +12,11 @@
 //
 // Snapshots are taken at the end of a simulated cycle, keyed by the
 // cumulative lane-instruction count of the trial (the issue-domain counter
-// stats_.lane_instructions accumulates). That boundary is observable from
-// outside the executor through on_warp_issue popcounts, which is how the
-// campaign layer counts per-mode fault sites consumed by each prefix without
-// a second instrumented run (see fault/campaign.cpp).
+// stats_.lane_instructions accumulates). The executor reports each capture
+// to its observer (SimObserver::on_capture) right after appending the
+// snapshot, which is how the campaign layer's site-counting pass records
+// the per-class fault sites each prefix consumed while it captures — one
+// fault-free run, one boundary (see fault/campaign.cpp).
 #pragma once
 
 #include <array>
@@ -102,6 +103,17 @@ struct Snapshot {
   std::uint32_t memory_top = 0;
   std::vector<std::uint8_t> memory;  // bytes [GlobalMemory::kNullGuard, top)
   ExecutorSnapshot exec;
+
+  /// Bytes this snapshot retains: the memory image, every captured warp
+  /// (registers and scoreboards dominate, ~35 KB each) and every block's
+  /// shared memory.
+  std::uint64_t bytes() const {
+    std::uint64_t n = memory.size();
+    for (const WarpSnap& w : exec.warps)
+      n += sizeof(WarpSnap) + w.stack.size() * sizeof(StackEntry);
+    for (const BlockSnap& b : exec.blocks) n += b.shared.size();
+    return n;
+  }
 };
 
 /// Capture/resume channel of Executor::run. Exactly one of the two roles is
@@ -109,9 +121,10 @@ struct Snapshot {
 ///  - capture: `marks` names cumulative lane-instruction thresholds (sorted,
 ///    strictly increasing); at the end of the first cycle whose cumulative
 ///    count (lane_base + this launch's lane_instructions) reaches each
-///    remaining mark, a Snapshot is appended to `out` and next_mark advances.
-///    The caller threads next_mark/lane_base across the trial's launches and
-///    stamps launch_ordinal/prior on the appended snapshots.
+///    remaining mark, a Snapshot is appended to `out`, next_mark advances and
+///    the observer's on_capture runs. The caller threads next_mark/lane_base
+///    across the trial's launches and stamps launch_ordinal/prior on the
+///    appended snapshots.
 ///  - resume: `resume` points at a previously captured Snapshot; the run
 ///    restores executor state from it (the caller restores global memory)
 ///    and continues from the saved cycle instead of placing blocks afresh.
@@ -123,9 +136,9 @@ struct ForkIO {
   const Snapshot* resume = nullptr;
   /// Resume-only: permit a delta restore. When the executor is still
   /// resident on `resume` (same snapshot, every mutation since the last
-  /// restore flagged by the dirty bits), only dirty warp/block slots are
-  /// copied back; otherwise the restore silently falls back to the full
-  /// copy. Either way the restored state is bit-identical.
+  /// restore flagged by the dirty bits), the registers, scoreboards and
+  /// shared memory of clean warp/block slots are not copied back; otherwise
+  /// every slot is copied. Either way the restored state is bit-identical.
   bool delta = false;
 };
 

@@ -12,10 +12,12 @@
 
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
+#include "isa/kernel_builder.hpp"
 #include "kernels/graph.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/microbench.hpp"
 #include "kernels/sort.hpp"
+#include "obs/metrics.hpp"
 #include "sim/device.hpp"
 
 namespace gpurel::fault {
@@ -301,6 +303,88 @@ TEST(ForkEquivalence, CapturePrefixAndFaultFreeResume) {
     EXPECT_EQ(resumed.stats.warp_instructions, fresh.stats.warp_instructions)
         << "epoch " << i;
   }
+}
+
+/// A fork-safe single-launch workload: one block of kWarps warps running a
+/// dependent add chain, so every warp stays resident at every epoch. Counts
+/// its execute() calls (the fault-free passes plus one per trial) through
+/// `executes`, which must outlive the workload.
+class AddChainWorkload final : public core::Workload {
+ public:
+  static constexpr unsigned kWarps = 4;
+
+  AddChainWorkload(WorkloadConfig cfg, unsigned* executes)
+      : Workload(std::move(cfg)), executes_(executes) {}
+  std::string base_name() const override { return "ADDCHAIN"; }
+  Precision precision() const override { return Precision::Int32; }
+  bool fork_safe() const override { return true; }
+
+ protected:
+  void build_programs() override {
+    isa::KernelBuilder b("addchain", config_.profile);
+    isa::Reg acc = b.reg();
+    b.movi(acc, 1);
+    for (int i = 0; i < 32; ++i) b.iaddi(acc, acc, 3);
+    program_ = b.build();
+    register_program(&program_);
+  }
+  void setup(sim::Device&) override {}
+  void execute(sim::Device&, core::TrialRunner& runner) override {
+    ++*executes_;
+    runner.launch({&program_, {1, 1}, {32 * kWarps, 1}, 0, {}});
+  }
+  bool verify(sim::Device&) override { return true; }
+
+ private:
+  unsigned* executes_;
+  isa::Program program_;
+};
+
+TEST(ForkEquivalence, ForkedCampaignSimulatesItsPrefixOnce) {
+  // The site-counting pass is also the capture pass: besides prepare()'s
+  // reference run, a forked campaign runs one fault-free pass, then one
+  // (forked or plain) run per trial.
+  auto inj = make_injector("NVBitFI");
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
+                          0x5eed, 1.0};
+  unsigned executes = 0;
+  auto factory = [&] {
+    return std::make_unique<AddChainWorkload>(wc, &executes);
+  };
+  CampaignConfig cc;
+  cc.injections_per_kind = 5;
+  cc.fork_epochs = 4;
+  obs::Counter& snapshots =
+      obs::Registry::global().counter("gpurel_campaign_snapshots_total");
+  const std::uint64_t snapshots_before = snapshots.value();
+  const CampaignResult r = run_campaign(*inj, factory, cc);
+  ASSERT_EQ(snapshots.value() - snapshots_before, 4u);  // it did fork
+  const std::uint64_t trials = r.total_injections();
+  ASSERT_GT(trials, 0u);
+  EXPECT_EQ(executes, 1u + 1u + trials);
+}
+
+TEST(ForkEquivalence, SnapshotPoolGaugeCountsWarpState) {
+  // The pool gauge counts what the snapshot set retains, executor state
+  // included: every one of the 4 snapshots holds all kWarps warps, each far
+  // larger than this workload's memory image.
+  auto inj = make_injector("NVBitFI");
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
+                          0x5eed, 1.0};
+  unsigned executes = 0;
+  auto factory = [&] {
+    return std::make_unique<AddChainWorkload>(wc, &executes);
+  };
+  CampaignConfig cc;
+  cc.injections_per_kind = 2;
+  cc.fork_epochs = 4;
+  run_campaign(*inj, factory, cc);
+  const double warp_state =
+      4.0 * AddChainWorkload::kWarps * sizeof(sim::WarpSnap);
+  EXPECT_GE(obs::Registry::global()
+                .gauge("gpurel_campaign_snapshot_pool_bytes")
+                .value(),
+            warp_state);
 }
 
 TEST(ForkEquivalence, CapturePrefixRejectsNonForkSafe) {

@@ -111,52 +111,50 @@ TEST(JobSpecTest, HashCoversEveryResultDeterminingField) {
   EXPECT_TRUE(differs(s));
 }
 
-// fork_epochs is execution batching, not a result-determining field, but it
-// is recorded in planned specs. It must not disturb the hash of any spec
-// that doesn't use it (every pre-existing spec corpus), and must round-trip
-// and re-hash when it is used.
-TEST(JobSpecTest, ForkEpochsHashesOnlyWhenEnabled) {
-  const JobSpec base = reference_campaign_spec();
-  ASSERT_EQ(base.fork_epochs, 0u);
-  EXPECT_EQ(canonical_json(base).find("fork_epochs"), std::string::npos);
-
-  JobSpec forked = base;
-  forked.fork_epochs = 8;
-  EXPECT_NE(canonical_json(forked).find("\"fork_epochs\":8"),
-            std::string::npos);
-  EXPECT_NE(content_hash(forked), content_hash(base));
-  const JobSpec back =
-      spec_from_json(json::Value::parse(canonical_json(forked)));
-  EXPECT_EQ(back.fork_epochs, 8u);
-  EXPECT_EQ(canonical_json(back), canonical_json(forked));
+// fork_epochs is execution batching (RunOptions::fork_epochs), not a
+// result-determining field, so it stays out of the spec and its hash. Spec
+// files planned when it was a spec field may still carry it: the key is
+// accepted and ignored, so such a spec hashes like its plain twin and is
+// served from the same cache entry.
+TEST(JobSpecTest, LegacyForkEpochsKeyHashesLikePlainSpec) {
+  const JobSpec plain = reference_campaign_spec();
+  json::Value doc = spec_to_json(plain);
+  json::Value campaign = doc.at("campaign");
+  campaign.set("fork_epochs", 8);
+  doc.set("campaign", std::move(campaign));
+  const JobSpec legacy = spec_from_json(doc);
+  EXPECT_EQ(canonical_json(legacy), canonical_json(plain));
+  EXPECT_EQ(content_hash(legacy), content_hash(plain));
+  EXPECT_EQ(cache_key(legacy), cache_key(plain));
 }
 
-// Fork batching only changes wall-clock: the campaign portion of a
-// fork-batched job is byte-identical to the plain job's.
+// Fork batching only changes wall-clock: a fork-batched job's whole result
+// document, embedded spec included, is byte-identical to the plain job's.
 TEST(JobShardTest, ForkBatchedJobReproducesPlainResult) {
-  const JobSpec plain = reference_campaign_spec();
-  JobSpec forked = plain;
+  const JobSpec spec = reference_campaign_spec();
+  RunOptions forked;
   forked.fork_epochs = 6;
-  const JobResult a = run_job(plain);
-  const JobResult b = run_job(forked);
+  const JobResult a = run_job(spec);
+  const JobResult b = run_job(spec, forked);
   ASSERT_TRUE(a.campaign && b.campaign);
-  EXPECT_EQ(campaign_result_to_json(*a.campaign).dump(),
-            campaign_result_to_json(*b.campaign).dump());
+  EXPECT_EQ(result_dump(a), result_dump(b));
 }
 
 // Delta snapshot restores used to be a spec field, serialized only when
 // disabled. Spec files written with it still decode, the key is ignored
 // (restores are always delta now), and the job produces the same bytes.
 TEST(JobSpecTest, LegacyForkDeltaKeyIsAcceptedAndIgnored) {
-  JobSpec forked = reference_campaign_spec();
-  forked.fork_epochs = 4;
-  json::Value doc = spec_to_json(forked);
+  const JobSpec spec = reference_campaign_spec();
+  json::Value doc = spec_to_json(spec);
   json::Value campaign = doc.at("campaign");
   campaign.set("fork_delta", false);
   doc.set("campaign", std::move(campaign));
   const JobSpec legacy = spec_from_json(doc);
-  EXPECT_EQ(canonical_json(legacy), canonical_json(forked));
-  EXPECT_EQ(result_dump(run_job(legacy)), result_dump(run_job(forked)));
+  EXPECT_EQ(canonical_json(legacy), canonical_json(spec));
+  RunOptions forked;
+  forked.fork_epochs = 4;
+  EXPECT_EQ(result_dump(run_job(legacy, forked)),
+            result_dump(run_job(spec, forked)));
 }
 
 TEST(JobSpecTest, RoundTripsThroughJson) {

@@ -11,7 +11,7 @@
 //            gpurel_jobs run --spec=specs/mxm.shard0of3.json
 //              --out=out/mxm.0.json --workers=4 --cache-dir=$GPUREL_CACHE
 //              --checkpoint=out/mxm.0.ckpt --checkpoint-every=64
-//              --metrics-out=out/metrics.json
+//              --fork-epochs=8 --metrics-out=out/metrics.json
 //
 //   merge  fold per-shard result files into the unsharded result:
 //            gpurel_jobs merge --out=out/mxm.json out/mxm.*.json
@@ -54,13 +54,13 @@ int usage() {
                "        [--injector=SASSIFI|NVBitFI|MicroArch --injections=N\n"
                "         --rf=N --pred=N --ia=N --store-value=N --store-addr=N\n"
                "         --sched=N --scoreboard=N --cta=N --warp-control=N\n"
-               "         --fork-epochs=N --propagation]\n"
+               "         --propagation]\n"
                "        [--ecc[=false] --mode=accelerated|natural --runs=N\n"
                "         --flux-scale=X]\n"
                "        [--seed=N --input-seed=N --scale=X]\n"
                "        --shards=N --out=PREFIX\n"
-               "  run   --spec=FILE --out=FILE [--workers=N --cache-dir=DIR\n"
-               "        --checkpoint=FILE --checkpoint-every=N\n"
+               "  run   --spec=FILE --out=FILE [--workers=N --fork-epochs=N\n"
+               "        --cache-dir=DIR --checkpoint=FILE --checkpoint-every=N\n"
                "        --metrics-out=FILE --trace-out=FILE --progress]\n"
                "  merge --out=FILE SHARD_RESULT.json...\n"
                "  report RESULT.json\n");
@@ -154,7 +154,6 @@ int cmd_plan(const Cli& cli) {
       std::replace(flag.begin(), flag.end(), '_', '-');
       spec.budget.*s.budget = u32_flag(cli, flag, 0);
     }
-    spec.fork_epochs = u32_flag(cli, "fork-epochs", 0);
     spec.propagation = cli.get_bool("propagation", false);
   } else {
     spec.kind = job::JobKind::Beam;
@@ -206,6 +205,7 @@ int cmd_run(const Cli& cli) {
   opts.cache_dir = cli.get("cache-dir");  // empty → GPUREL_CACHE → disabled
   opts.checkpoint_path = cli.get("checkpoint");
   opts.checkpoint_every = u32_flag(cli, "checkpoint-every", 0);
+  opts.fork_epochs = u32_flag(cli, "fork-epochs", 0);
 
   const job::JobResult result = job::run_job(spec, opts);
   write_doc(out_path, job::result_to_json(result));
