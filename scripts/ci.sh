@@ -108,7 +108,8 @@ done
 cmp "${JOB_DIR}/merged.json" "${JOB_DIR}/unsharded.json"
 # Re-run everything against the warm cache in a fresh process: every job
 # must be served from the cache (4 hits, 0 misses) with zero simulated
-# trials, and still write byte-identical outputs.
+# trials and zero fault-free reference trials (a cache hit prepares
+# nothing), and still write byte-identical outputs.
 for i in 0 1 2; do
   "${JOBS_BIN}" run --spec="${JOB_DIR}/add.shard${i}of3.json" \
     --out="${JOB_DIR}/rerun.${i}.json" --cache-dir="${JOB_DIR}/cache" \
@@ -122,17 +123,19 @@ cmp "${JOB_DIR}/unsharded.json" "${JOB_DIR}/rerun.u.json"
 python3 - "${JOB_DIR}" <<'EOF'
 import glob, json, sys
 d = sys.argv[1]
-hits = misses = trials = 0
+hits = misses = trials = refs = 0
 for path in glob.glob(f"{d}/metrics.*.json"):
     for m in json.load(open(path))["metrics"]:
         if m["name"] == "gpurel_job_cache_hits_total": hits += m["value"]
         if m["name"] == "gpurel_job_cache_misses_total": misses += m["value"]
         if m["name"] == "gpurel_campaign_trials_total": trials += m["value"]
+        if m["name"] == "gpurel_reference_trials_total": refs += m["value"]
 assert hits == 4, f"expected 4 cache hits, got {hits}"
 assert misses == 0, f"expected 0 cache misses, got {misses}"
 assert trials == 0, f"cache-served reruns simulated {trials} trials"
+assert refs == 0, f"cache-served reruns ran {refs} reference trials"
 print(f"job smoke OK: 3-way merge byte-identical, {hits} cache hits, "
-      f"0 misses, 0 simulated trials on rerun")
+      f"0 misses, 0 simulated or reference trials on rerun")
 EOF
 
 echo "==> fork-equivalence smoke (checkpoint-fork batching is bit-identical)"
@@ -152,9 +155,12 @@ cmp "${JOB_DIR}/mxm.fork0.key" "${JOB_DIR}/mxm.fork4.key"
 # Shared snapshot pool: one capture pass serves every worker, so a forked
 # multi-worker run must emit exactly one campaign_snapshot_capture event,
 # whose retained bytes (executor state included) exceed its memory images.
+# The second worker copies the reference instance's golden state, so the run
+# makes exactly one fault-free reference trial.
 GPUREL_TELEMETRY="${JOB_DIR}/fork.jsonl" \
   "${JOBS_BIN}" run --spec="${JOB_DIR}/mxm.shard0of1.json" --fork-epochs=4 \
-  --out="${JOB_DIR}/mxm.fork4.warm.json" --workers=2 >/dev/null
+  --out="${JOB_DIR}/mxm.fork4.warm.json" --workers=2 \
+  --metrics-out="${JOB_DIR}/fork.metrics.json" >/dev/null
 cmp "${JOB_DIR}/mxm.fork4.out.json" "${JOB_DIR}/mxm.fork4.warm.json"
 python3 - "${JOB_DIR}" <<'EOF'
 import json, sys
@@ -164,8 +170,11 @@ caps = [e for e in evs if e.get("event") == "campaign_snapshot_capture"]
 assert len(caps) == 1, f"expected exactly 1 capture event, got {len(caps)}"
 assert caps[0]["epochs"] == 4 and caps[0]["image_bytes"] > 0, caps[0]
 assert caps[0]["bytes"] > caps[0]["image_bytes"], caps[0]
+refs = sum(m["value"] for m in json.load(open(f"{d}/fork.metrics.json"))["metrics"]
+           if m["name"] == "gpurel_reference_trials_total")
+assert refs == 1, f"expected exactly 1 reference trial, got {refs}"
 print("fork-equivalence smoke OK: forked results byte-identical, "
-      "one shared snapshot capture across 2 workers")
+      "one shared snapshot capture and one reference trial across 2 workers")
 EOF
 
 echo "==> propagation smoke (provenance JSONL + outcome-identical to plain)"

@@ -90,13 +90,31 @@ struct StrikePlan {
 };
 
 /// Applies planned strikes during a trial.
+///
+/// Claims are scoped to the strikes still to come. An unfired
+/// functional-unit strike counts lane executions in before_exec and lands
+/// in the after_exec of the same issue (the executor fixes the mask for a
+/// whole cycle), so it claims both; every other target fires from
+/// on_time_advance and claims only that. A pending latch restore or output
+/// strike keeps after_exec. Once every strike has fired nothing is claimed,
+/// and from the next cycle boundary the run simulates on the executor's
+/// hook-free lane driver: the counters and integrals below only steer
+/// unfired strikes, so no later hook call could change the result.
 class BeamObserver final : public sim::SimObserver {
  public:
   BeamObserver(std::vector<StrikePlan> plans, unsigned max_regs)
       : plans_(std::move(plans)), max_regs_(std::max(1u, max_regs)) {}
 
   unsigned wants() const override {
-    return kWantsBeforeExec | kWantsAfterExec | kWantsTimeAdvance;
+    unsigned w =
+        restore_pending_ || pending_plan_ >= 0 ? kWantsAfterExec : 0u;
+    for (std::size_t i = 0; i < plans_.size(); ++i) {
+      if (fired_[i]) continue;
+      w |= plans_[i].target == StrikeTarget::FunctionalUnit
+               ? kWantsBeforeExec | kWantsAfterExec
+               : kWantsTimeAdvance;
+    }
+    return w;
   }
 
   void on_launch_end(const sim::LaunchStats& st) override {
@@ -367,6 +385,7 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
     trace->name_process(obs::kWallPid, "gpurel runtime (wall clock)");
   auto& metrics = obs::Registry::global();
   obs::Counter& m_runs = metrics.counter("gpurel_beam_runs_total");
+  obs::Counter& m_simulated = metrics.counter("gpurel_beam_simulated_runs_total");
   obs::Histogram& m_latency = metrics.histogram("gpurel_beam_run_latency_ms");
   telemetry::Timer wall;
   const unsigned workers = std::max(1u, config.workers);
@@ -472,6 +491,7 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
       } else {
         BeamObserver obs({s.plan}, max_regs);
         outcome = inst.w->run_trial(*inst.dev, &obs).outcome;
+        m_simulated.add();
       }
       outcomes[r] = outcome;
       run_target[r] = static_cast<std::uint8_t>(s.plan.target);
@@ -495,6 +515,7 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
       } else if (!plans.empty()) {
         BeamObserver obs(std::move(plans), max_regs);
         outcome = inst.w->run_trial(*inst.dev, &obs).outcome;
+        m_simulated.add();
       }
       outcomes[r] = outcome;
     }
@@ -526,10 +547,13 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
                                 {"done", done.value()},
                                 {"total", std::uint64_t{owned.size()}}});
   };
-  // The instances outlive the loop: `golden` refers into worker 0's.
-  const std::vector<core::Instance> instances =
-      run_per_worker(workers, owned.size(), std::move(ref),
-                     [&] { return core::make_instance(factory); }, run_chunk);
+  // The instances outlive the loop: `golden` refers into worker 0's, and the
+  // other workers copy its golden state instead of re-running the
+  // fault-free reference trial.
+  const core::Workload* reference = ref.w.get();
+  const std::vector<core::Instance> instances = run_per_worker(
+      workers, owned.size(), std::move(ref),
+      [&] { return core::make_instance(factory, reference); }, run_chunk);
 
   for (const std::size_t r : owned) {
     result.outcomes.add(outcomes[r]);

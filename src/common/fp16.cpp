@@ -77,8 +77,9 @@ bool Half::is_inf() const {
 }
 
 Half half_add(Half a, Half b) {
-  // float addition of two halves is exact (11-bit significands fit in 24),
-  // so the single rounding below is the only rounding.
+  // The float sum may round (65504 + 2^-24 needs 40 bits), but rounding to
+  // float's 24-bit significand and then to half's 11 is still correct: 24
+  // >= 2 * 11 + 2, so the first rounding never creates a false half tie.
   return Half::from_float(a.to_float() + b.to_float());
 }
 
@@ -88,7 +89,8 @@ Half half_mul(Half a, Half b) {
 }
 
 Half half_fma(Half a, Half b, Half c) {
-  // double holds the exact product and sum of half operands.
+  // Rounds up to three times: the product-sum to double, then to float, then
+  // to half (see the header).
   const double exact = static_cast<double>(a.to_float()) * b.to_float() + c.to_float();
   return Half::from_float(static_cast<float>(exact));
 }

@@ -3,9 +3,9 @@
 // Volta's mixed-precision cores operate on binary16 with round-to-nearest-
 // even; the simulator stores a half in the low 16 bits of a 32-bit register.
 // Arithmetic is performed by converting to float (exact: every half is
-// exactly representable in float), computing, and rounding back once. For
-// fused multiply-add the intermediate is computed in double so the single
-// final rounding matches a true fused operation.
+// exactly representable in float), computing, and rounding back. Add and
+// multiply round correctly (see fp16.cpp). Fused multiply-add does not:
+// see half_fma.
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,12 @@ class Half {
 Half half_add(Half a, Half b);
 /// a * b with one binary16 rounding.
 Half half_mul(Half a, Half b);
-/// a * b + c fused: single rounding of the exact product-sum.
+/// a * b + c fused, but rounded twice: the product-sum is computed in
+/// double, rounded to float, then to half. A result that float rounds onto
+/// a half tie can then tie the wrong way, one ulp off the correctly rounded
+/// value (e.g. 0xc6a2 * 0xdb76 + 0xad61 gives 0x6630, not 0x662f; about 40
+/// in a million random finite triples). Kept as is: results and pinned
+/// digests depend on it (ROADMAP item 7).
 Half half_fma(Half a, Half b, Half c);
 
 /// Convert float -> binary16 bits (RNE). Exposed for tests.

@@ -75,9 +75,13 @@ void parallel_chunks(
 /// worker reusing one State (e.g. a prepared workload and its device) for
 /// every chunk it pulls. Worker 0 starts from `first`, the caller's already
 /// prepared reference; any other worker builds its own with make() on its
-/// first chunk. One worker runs the chunks inline on the calling thread,
-/// more go through parallel_chunks. Returns the per-worker states; a worker
-/// that pulled no chunk keeps a default-constructed State.
+/// first chunk, while worker 0 may already be running. Campaigns and beams
+/// pass core::make_instance(factory, reference) as make(): it copies the
+/// reference's golden state instead of re-running its fault-free trial, so
+/// a call runs that trial once at any worker count. One worker runs the
+/// chunks inline on the calling thread, more go through parallel_chunks.
+/// Returns the per-worker states; a worker that pulled no chunk keeps a
+/// default-constructed State.
 template <class State, class Make, class Body>
 std::vector<State> run_per_worker(unsigned workers, std::size_t count,
                                   State first, const Make& make,

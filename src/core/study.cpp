@@ -282,27 +282,13 @@ std::optional<fault::CampaignResult> Study::run_injection(
   return std::move(job::run_job(spec, run_options()).campaign);
 }
 
-model::FitPrediction Study::make_prediction(const CatalogEntry& entry,
+model::FitPrediction Study::make_prediction(model::CodeObservables obs,
                                             const profile::CodeProfile& prof,
                                             const fault::CampaignResult& avf,
                                             bool ecc) {
-  // Memory exposure of the (Cuda10) beam binary.
-  auto w = kernels::make_workload(
-      entry.base, entry.precision,
-      workload_config(config_.app_scale, isa::CompilerProfile::Cuda10));
-  sim::Device dev(gpu_);
-  w->prepare(dev);
-  const auto exp = beam::compute_exposure(*w, dev.memory().allocated_bits());
-
-  model::CodeObservables obs;
   obs.profile = prof;
   obs.avf = &avf;
   obs.ecc = ecc;
-  if (exp.trial_cycles > 0) {
-    obs.rf_bits = exp.rf_bit_cycles / exp.trial_cycles;
-    obs.shared_bits = exp.shared_bit_cycles / exp.trial_cycles;
-  }
-  obs.global_bits = static_cast<double>(dev.memory().allocated_bits());
   if (avf.rf.total() > 0) {
     obs.mem_avf_sdc = avf.rf.avf_sdc();
     obs.mem_avf_due = avf.rf.avf_due();
@@ -343,13 +329,22 @@ Study::CodeEvaluation Study::evaluate(const CatalogEntry& entry, EvalParts parts
   };
 
   // Profiles per toolchain era. The deep-profiled trial also renders the
-  // simulated-time timeline when tracing is on.
+  // simulated-time timeline when tracing is on. The Cuda10 workload is also
+  // the beam binary, so its memory exposure (the predictions' memory terms,
+  // independent of injector and ECC) is read here, once per code.
+  model::CodeObservables memory;
   {
     auto w = kernels::make_workload(
         entry.base, entry.precision,
         workload_config(config_.app_scale, isa::CompilerProfile::Cuda10));
     sim::Device dev(gpu_);
     ev.profile = profile::profile_workload(*w, dev, trace);
+    const auto exp = beam::compute_exposure(*w, dev.memory().allocated_bits());
+    if (exp.trial_cycles > 0) {
+      memory.rf_bits = exp.rf_bit_cycles / exp.trial_cycles;
+      memory.shared_bits = exp.shared_bit_cycles / exp.trial_cycles;
+    }
+    memory.global_bits = static_cast<double>(dev.memory().allocated_bits());
   }
   auto sassifi = fault::make_injector("SASSIFI");
   auto nvbitfi = fault::make_injector("NVBitFI");
@@ -432,12 +427,13 @@ Study::CodeEvaluation Study::evaluate(const CatalogEntry& entry, EvalParts parts
     stage_timer.reset();
     if (ev.sassifi) {
       const auto& prof = ev.profile_cuda7 ? *ev.profile_cuda7 : ev.profile;
-      ev.pred_sassifi_on = make_prediction(entry, prof, *ev.sassifi, true);
-      ev.pred_sassifi_off = make_prediction(entry, prof, *ev.sassifi, false);
+      ev.pred_sassifi_on = make_prediction(memory, prof, *ev.sassifi, true);
+      ev.pred_sassifi_off = make_prediction(memory, prof, *ev.sassifi, false);
     }
     if (ev.nvbitfi) {
-      ev.pred_nvbitfi_on = make_prediction(entry, ev.profile, *ev.nvbitfi, true);
-      ev.pred_nvbitfi_off = make_prediction(entry, ev.profile, *ev.nvbitfi, false);
+      ev.pred_nvbitfi_on = make_prediction(memory, ev.profile, *ev.nvbitfi, true);
+      ev.pred_nvbitfi_off =
+          make_prediction(memory, ev.profile, *ev.nvbitfi, false);
     }
     if (parts.beam) ev.reach = reach_sweep(ev);
     stage_done(3, "predictions");

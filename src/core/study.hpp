@@ -194,7 +194,10 @@ class Study {
   std::optional<fault::CampaignResult> run_injection(
       const fault::Injector& injector, const kernels::CatalogEntry& entry,
       bool aux_modes, unsigned injections_per_kind, bool* substituted);
-  model::FitPrediction make_prediction(const kernels::CatalogEntry& entry,
+  /// Eqs. 1-4 for one injector and ECC setting. `obs` arrives with the
+  /// code's instantiated memory bits (rf/shared/global_bits), measured once
+  /// per code on the profiled beam binary.
+  model::FitPrediction make_prediction(model::CodeObservables obs,
                                        const profile::CodeProfile& prof,
                                        const fault::CampaignResult& avf,
                                        bool ecc);

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
+
 namespace gpurel::core {
 
 std::string_view precision_prefix(Precision p) {
@@ -165,13 +167,27 @@ const sim::LaunchStats& Workload::golden_stats() const {
   return golden_stats_;
 }
 
-Instance make_instance(const WorkloadFactory& factory) {
+Instance make_instance(const WorkloadFactory& factory,
+                       const Workload* prepared) {
   Instance inst;
   inst.w = factory();
   if (!inst.w) throw std::invalid_argument("workload factory returned null");
   inst.dev = std::make_unique<sim::Device>(inst.w->config().gpu);
-  inst.w->prepare(*inst.dev);
+  if (prepared != nullptr)
+    inst.w->adopt_golden(*prepared);
+  else
+    inst.w->prepare(*inst.dev);
   return inst;
+}
+
+void Workload::adopt_golden(const Workload& ref) {
+  if (!ref.prepared_)
+    throw std::logic_error(name() + ": golden source is not prepared");
+  build_programs();
+  golden_ = ref.golden_;
+  golden_stats_ = ref.golden_stats_;
+  watchdog_budget_ = ref.watchdog_budget_;
+  prepared_ = true;
 }
 
 void Workload::prepare(sim::Device& dev) {
@@ -180,6 +196,9 @@ void Workload::prepare(sim::Device& dev) {
   if (programs_.empty())
     throw std::logic_error(name() + ": build_programs registered no kernels");
 
+  static obs::Counter& m_reference =
+      obs::Registry::global().counter("gpurel_reference_trials_total");
+  m_reference.add();
   dev.reset();
   outputs_.clear();
   setup(dev);

@@ -67,6 +67,7 @@ struct TrialResult {
 };
 
 class Workload;
+struct Instance;
 
 /// Constructs fresh workload instances (campaign workers each own one).
 using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
@@ -150,7 +151,8 @@ class Workload {
 
   /// Build programs and run the fault-free reference trial: captures golden
   /// outputs, baseline statistics, and the watchdog budget. Must be called
-  /// once before run_trial.
+  /// once before run_trial. Each reference trial bumps
+  /// gpurel_reference_trials_total.
   void prepare(sim::Device& dev);
   bool prepared() const { return prepared_; }
 
@@ -226,9 +228,12 @@ class Workload {
   /// Compare device outputs to golden. Default: byte-compare every region
   /// registered via register_output.
   virtual bool verify(sim::Device& dev);
-  /// Capture golden data after the clean run. Default: snapshot registered
-  /// output regions.
+  /// Capture golden data after the clean run into golden(). Default:
+  /// snapshot registered output regions, one entry each.
   virtual void capture_golden(sim::Device& dev);
+  /// The golden reference bytes. An override of capture_golden/verify keeps
+  /// its reference here too, so make_instance's copy covers it.
+  std::vector<std::vector<std::uint8_t>>& golden() { return golden_; }
 
   /// Register an output region for the default golden capture/verify.
   void register_output(std::uint32_t addr, std::uint32_t bytes);
@@ -244,6 +249,11 @@ class Workload {
   };
 
   TrialResult classify(sim::Device& dev, TrialRunner& runner);
+  /// prepare() without the reference trial: build programs and copy the
+  /// golden state of `ref`, a prepared workload of the same factory.
+  void adopt_golden(const Workload& ref);
+  friend Instance make_instance(const WorkloadFactory& factory,
+                                const Workload* prepared);
 
   std::vector<const isa::Program*> programs_;
   std::vector<OutputRegion> outputs_;
@@ -267,8 +277,13 @@ struct Instance {
 };
 
 /// Build a workload with `factory` and prepare it on a fresh device of its
-/// configured GPU. Throws std::invalid_argument when the factory returns
-/// null.
-Instance make_instance(const WorkloadFactory& factory);
+/// configured GPU. Given `prepared`, an already prepared workload built by
+/// the same factory, the new workload builds its programs and copies that
+/// one's golden outputs, statistics and watchdog budget instead of running
+/// the fault-free reference trial again; `prepared` is only read, so other
+/// threads may run trials on it meanwhile. Throws std::invalid_argument
+/// when the factory returns null.
+Instance make_instance(const WorkloadFactory& factory,
+                       const Workload* prepared = nullptr);
 
 }  // namespace gpurel::core

@@ -947,9 +947,12 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
                                     {"total", todo}});
     frontier.complete(begin, end);
   };
+  // The other workers copy the reference instance's golden state instead of
+  // re-running its fault-free trial.
+  const core::Workload* reference = ref.w.get();
   const std::vector<core::Instance> instances = run_per_worker(
       workers, todo, std::move(ref),
-      [&] { return core::make_instance(factory); }, run_chunk);
+      [&] { return core::make_instance(factory, reference); }, run_chunk);
 
   if (plan.forking()) record_pool_bytes(plan, instances);
 

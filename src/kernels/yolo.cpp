@@ -1,6 +1,7 @@
 #include "kernels/yolo.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/fp16.hpp"
@@ -362,27 +363,36 @@ std::vector<float> ConvNet::read_scores(sim::Device& dev) const {
 }
 
 void ConvNet::capture_golden(sim::Device& dev) {
-  golden_scores_ = read_scores(dev);
+  // The decoded scores are the golden reference, kept in the base class's
+  // golden bytes. The score region is not registered as an output: that
+  // would change output_geometry(), and with it the geometry of SDCs.
+  const std::vector<float> scores = read_scores(dev);
+  std::vector<std::uint8_t> bytes(scores.size() * sizeof(float));
+  std::memcpy(bytes.data(), scores.data(), bytes.size());
+  golden().assign(1, std::move(bytes));
 }
 
 bool ConvNet::verify(sim::Device& dev) {
   const std::vector<float> scores = read_scores(dev);
+  std::vector<float> golden_scores(classes_);
+  std::memcpy(golden_scores.data(), golden().front().data(),
+              golden().front().size());
   // Classification-aware criterion: the output is wrong only if the argmax
   // changes or a score moves beyond the network's tolerance (paper: faults
   // that do not modify the classification result are not SDCs).
   std::size_t g_arg = 0, s_arg = 0;
-  float g_max = golden_scores_[0];
+  float g_max = golden_scores[0];
   double span = 1e-6;
   for (std::size_t c = 0; c < scores.size(); ++c) {
     if (std::isnan(scores[c]) || std::isinf(scores[c])) return false;
-    if (golden_scores_[c] > golden_scores_[g_arg]) g_arg = c;
+    if (golden_scores[c] > golden_scores[g_arg]) g_arg = c;
     if (scores[c] > scores[s_arg]) s_arg = c;
-    g_max = std::max(g_max, std::fabs(golden_scores_[c]));
-    span = std::max(span, static_cast<double>(std::fabs(golden_scores_[c])));
+    g_max = std::max(g_max, std::fabs(golden_scores[c]));
+    span = std::max(span, static_cast<double>(std::fabs(golden_scores[c])));
   }
   if (g_arg != s_arg) return false;
   for (std::size_t c = 0; c < scores.size(); ++c) {
-    if (std::fabs(scores[c] - golden_scores_[c]) > tolerance_ * span) return false;
+    if (std::fabs(scores[c] - golden_scores[c]) > tolerance_ * span) return false;
   }
   return true;
 }

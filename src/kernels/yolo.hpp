@@ -69,7 +69,6 @@ class ConvNet : public core::Workload {
   std::vector<std::uint32_t> biases_;
   std::uint32_t act_[2] = {0, 0};
   std::uint32_t scores_ = 0;
-  std::vector<float> golden_scores_;
 };
 
 }  // namespace gpurel::kernels

@@ -287,8 +287,13 @@ const char* metric_help(const std::string& name) {
       {"gpurel_campaign_site_coverage",
        "Injections per dynamic site in the last campaign"},
       {"gpurel_beam_runs_total", "Beam experiment runs executed"},
+      {"gpurel_beam_simulated_runs_total",
+       "Beam runs that reached the simulator (the rest resolve when their "
+       "strike is sampled)"},
       {"gpurel_beam_run_latency_ms", "Wall-clock latency of one beam run"},
       {"gpurel_beam_outcomes_total", "Beam run outcomes by strike target"},
+      {"gpurel_reference_trials_total",
+       "Fault-free reference trials run by Workload::prepare"},
       {"gpurel_job_cache_hits_total", "Job results served from the cache"},
       {"gpurel_job_cache_misses_total", "Job cache lookups that missed"},
       {"gpurel_job_cache_stores_total", "Job results written to the cache"},

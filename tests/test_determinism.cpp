@@ -5,15 +5,19 @@
 // if a refactor makes results depend on which worker ran a trial, they fail.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "beam/experiment.hpp"
+#include "common/bits.hpp"
 #include "common/telemetry.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
+#include "job/serialize.hpp"
 #include "kernels/matmul.hpp"
+#include "kernels/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace gpurel {
@@ -200,6 +204,76 @@ TEST(Determinism, BeamBitIdenticalAcrossWorkerCounts) {
     beam::BeamConfig bc = base;
     bc.workers = workers;
     check(bc, "workers");
+  }
+}
+
+TEST(Determinism, BeamResultsMatchPinnedDigests) {
+  // Serialized run_beam results, pinned at 1 and 4 workers in the three
+  // regimes whose observer claims differ: one strike per run with ECC on
+  // (functional-unit and hidden strikes reach the simulator), one with ECC
+  // off (memory strikes too), and natural flux at about 2 strikes per run
+  // with ECC off (several strikes in flight, latch restores among them).
+  // The codes span both catalogs, with multi-launch codes (MERGESORT, the
+  // YOLO nets) and a tensor-core MMA code. The digests predate beam
+  // observers that drop their hooks once their strikes fire: dropping them
+  // must not move any result.
+  struct Case {
+    bool volta;
+    kernels::CatalogEntry entry;
+    std::array<std::uint64_t, 3> digest;  // ECC on, ECC off, natural
+  };
+  const std::vector<Case> cases = {
+      {false,
+       {"MERGESORT", Precision::Int32},
+       {0xfed3ba72f681b5dcull, 0x0c05332473b07817ull, 0x3eca3db47b5bf748ull}},
+      {false,
+       {"YOLOV2", Precision::Single},
+       {0x3beea98f96cc0124ull, 0x0ba731b0ae8b2dc3ull, 0xa807e2d5eb88b233ull}},
+      {true,
+       {"GEMM-MMA", Precision::Half},
+       {0x1e4d78b0c8ba5472ull, 0xb83e336730633b5dull, 0x756dbaac60083c88ull}},
+      {true,
+       {"HOTSPOT", Precision::Double},
+       {0x6b6fe4e1bd7097b0ull, 0xd5def6de0858d975ull, 0x402226b8f57188ecull}},
+  };
+  for (const Case& c : cases) {
+    const arch::GpuConfig gpu = c.volta ? arch::GpuConfig::volta_v100(2)
+                                        : arch::GpuConfig::kepler_k40c(2);
+    const auto db = beam::CrossSectionDb::for_arch(gpu.arch);
+    const auto factory = kernels::workload_factory(
+        c.entry.base, c.entry.precision,
+        {gpu, isa::CompilerProfile::Cuda10, 0x5eed, 0.05});
+    const std::string name = kernels::entry_name(c.entry);
+
+    beam::BeamConfig on;
+    on.runs = 40;
+    on.seed = 0xbea3;
+    beam::BeamConfig off = on;
+    off.ecc = false;
+    beam::BeamConfig natural = off;
+    natural.mode = beam::BeamMode::Natural;
+    natural.runs = 20;
+    // Σw = device_sigma_rate * T; aim for 2 strikes per run.
+    {
+      const auto probe = beam::run_beam(db, factory, on);
+      const auto w = factory();
+      sim::Device dev(gpu);
+      w->prepare(dev);
+      natural.flux_scale =
+          2.0 / (probe.device_sigma_rate *
+                 static_cast<double>(w->golden_stats().cycles));
+    }
+    const std::array<const beam::BeamConfig*, 3> modes = {&on, &off, &natural};
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+      for (const unsigned workers : {1u, 4u}) {
+        beam::BeamConfig bc = *modes[m];
+        bc.workers = workers;
+        const std::uint64_t digest = fnv1a64(
+            job::beam_result_to_json(beam::run_beam(db, factory, bc)).dump());
+        EXPECT_EQ(digest, c.digest[m])
+            << name << " mode " << m << " at " << workers << " workers";
+      }
+    }
   }
 }
 

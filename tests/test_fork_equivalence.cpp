@@ -6,10 +6,12 @@
 // from a captured prefix with no fault behaves exactly like a fresh trial.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "beam/experiment.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "isa/kernel_builder.hpp"
@@ -308,12 +310,13 @@ TEST(ForkEquivalence, CapturePrefixAndFaultFreeResume) {
 /// A fork-safe single-launch workload: one block of kWarps warps running a
 /// dependent add chain, so every warp stays resident at every epoch. Counts
 /// its execute() calls (the fault-free passes plus one per trial) through
-/// `executes`, which must outlive the workload.
+/// `executes`, which must outlive the workload; instances on different
+/// workers share it.
 class AddChainWorkload final : public core::Workload {
  public:
   static constexpr unsigned kWarps = 4;
 
-  AddChainWorkload(WorkloadConfig cfg, unsigned* executes)
+  AddChainWorkload(WorkloadConfig cfg, std::atomic<unsigned>* executes)
       : Workload(std::move(cfg)), executes_(executes) {}
   std::string base_name() const override { return "ADDCHAIN"; }
   Precision precision() const override { return Precision::Int32; }
@@ -330,13 +333,13 @@ class AddChainWorkload final : public core::Workload {
   }
   void setup(sim::Device&) override {}
   void execute(sim::Device&, core::TrialRunner& runner) override {
-    ++*executes_;
+    executes_->fetch_add(1, std::memory_order_relaxed);
     runner.launch({&program_, {1, 1}, {32 * kWarps, 1}, 0, {}});
   }
   bool verify(sim::Device&) override { return true; }
 
  private:
-  unsigned* executes_;
+  std::atomic<unsigned>* executes_;
   isa::Program program_;
 };
 
@@ -347,7 +350,7 @@ TEST(ForkEquivalence, ForkedCampaignSimulatesItsPrefixOnce) {
   auto inj = make_injector("NVBitFI");
   const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
                           0x5eed, 1.0};
-  unsigned executes = 0;
+  std::atomic<unsigned> executes{0};
   auto factory = [&] {
     return std::make_unique<AddChainWorkload>(wc, &executes);
   };
@@ -361,7 +364,65 @@ TEST(ForkEquivalence, ForkedCampaignSimulatesItsPrefixOnce) {
   ASSERT_EQ(snapshots.value() - snapshots_before, 4u);  // it did fork
   const std::uint64_t trials = r.total_injections();
   ASSERT_GT(trials, 0u);
-  EXPECT_EQ(executes, 1u + 1u + trials);
+  EXPECT_EQ(executes.load(), 1u + 1u + trials);
+}
+
+TEST(ForkEquivalence, OneReferenceTrialPerCampaignAtAnyWorkerCount) {
+  // Extra workers copy the reference instance's golden state, so a campaign
+  // runs prepare()'s fault-free trial once at any worker count: plain and
+  // forked, 4 workers execute exactly as often as 1. At least 32 trials, so
+  // every worker pulls a chunk (each used to prepare its own instance).
+  auto inj = make_injector("NVBitFI");
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
+                          0x5eed, 1.0};
+  std::atomic<unsigned> executes{0};
+  auto factory = [&] {
+    return std::make_unique<AddChainWorkload>(wc, &executes);
+  };
+  obs::Counter& reference =
+      obs::Registry::global().counter("gpurel_reference_trials_total");
+  for (const unsigned epochs : {0u, 4u}) {
+    for (const unsigned workers : {1u, 4u}) {
+      CampaignConfig cc;
+      cc.injections_per_kind = 32;
+      cc.fork_epochs = epochs;
+      cc.workers = workers;
+      executes = 0;
+      const std::uint64_t reference_before = reference.value();
+      const CampaignResult r = run_campaign(*inj, factory, cc);
+      const std::uint64_t trials = r.total_injections();
+      ASSERT_GE(trials, 32u);
+      // prepare()'s reference trial, the site-counting pass (also the
+      // capture pass when forking), then one run per trial.
+      EXPECT_EQ(executes.load(), 2u + trials)
+          << workers << " workers, " << epochs << " epochs";
+      EXPECT_EQ(reference.value() - reference_before, 1u)
+          << workers << " workers, " << epochs << " epochs";
+    }
+  }
+}
+
+TEST(ForkEquivalence, OneReferenceTrialPerBeamAtAnyWorkerCount) {
+  // The same for beams: 4 workers execute the reference trial once, plus
+  // one run per strike that reaches the simulator (the rest resolve when
+  // sampled).
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2),
+                          isa::CompilerProfile::Cuda10, 0x5eed, 1.0};
+  std::atomic<unsigned> executes{0};
+  auto factory = [&] {
+    return std::make_unique<AddChainWorkload>(wc, &executes);
+  };
+  obs::Counter& simulated =
+      obs::Registry::global().counter("gpurel_beam_simulated_runs_total");
+  beam::BeamConfig bc;
+  bc.runs = 48;
+  bc.ecc = false;
+  bc.workers = 4;
+  const std::uint64_t simulated_before = simulated.value();
+  beam::run_beam(beam::CrossSectionDb::kepler(), factory, bc);
+  const std::uint64_t runs = simulated.value() - simulated_before;
+  ASSERT_GE(runs, 32u);
+  EXPECT_EQ(executes.load(), 1u + runs);
 }
 
 TEST(ForkEquivalence, SnapshotPoolGaugeCountsWarpState) {
@@ -371,7 +432,7 @@ TEST(ForkEquivalence, SnapshotPoolGaugeCountsWarpState) {
   auto inj = make_injector("NVBitFI");
   const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
                           0x5eed, 1.0};
-  unsigned executes = 0;
+  std::atomic<unsigned> executes{0};
   auto factory = [&] {
     return std::make_unique<AddChainWorkload>(wc, &executes);
   };

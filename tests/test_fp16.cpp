@@ -2,12 +2,95 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hpp"
 
 namespace gpurel {
 namespace {
+
+// --- Exact integer reference ------------------------------------------------
+// A finite half is m * 2^(max(e, 1) - 25) for its 11-bit significand m and
+// exponent field e: an integer count of 2^-24. Sums of halves are exact in
+// that unit, products and product-sums in 2^-48, and 128-bit integers hold
+// both. round_exact then rounds once, to nearest-even.
+
+using i128 = __int128;
+using u128 = unsigned __int128;
+
+bool finite_half(std::uint16_t h) { return ((h >> 10) & 0x1fu) != 0x1fu; }
+
+/// The value of finite half `h` in units of 2^-24.
+i128 half_units(std::uint16_t h) {
+  const unsigned e = (h >> 10) & 0x1fu;
+  const std::uint32_t m = (h & 0x3ffu) | (e != 0 ? 0x400u : 0u);
+  const i128 mag = static_cast<i128>(m) << (e != 0 ? e - 1 : 0);
+  return (h & 0x8000u) != 0 ? -mag : mag;
+}
+
+/// Round v * 2^-scale (scale >= 24) to binary16, once, to nearest-even. An
+/// exact zero takes the sign `zero_negative`; a nonzero value that rounds
+/// to zero keeps its own sign.
+std::uint16_t round_exact(i128 v, int scale, bool zero_negative) {
+  if (v == 0) return zero_negative ? 0x8000u : 0u;
+  const bool neg = v < 0;
+  const u128 mag = neg ? static_cast<u128>(-v) : static_cast<u128>(v);
+  const auto hi = static_cast<std::uint64_t>(mag >> 64);
+  const int msb = hi != 0 ? 127 - std::countl_zero(hi)
+                          : 63 - std::countl_zero(static_cast<std::uint64_t>(mag));
+  // Keep 11 significant bits, but never finer than the 2^-24 subnormal step.
+  const int shift = std::max(msb - 10, scale - 24);
+  u128 q = mag >> shift;
+  if (shift > 0) {
+    const u128 rem = mag - (q << shift);
+    const u128 halfway = u128{1} << (shift - 1);
+    if (rem > halfway || (rem == halfway && (q & 1u) != 0)) ++q;
+  }
+  int e = shift - scale;  // value = q * 2^e
+  if (q == 2048) {        // rounding carried into the next binade
+    q = 1024;
+    ++e;
+  }
+  std::uint32_t bits = 0;
+  if (q < 1024) {
+    bits = static_cast<std::uint32_t>(q);  // subnormal (e == -24) or zero
+  } else if (e + 25 >= 31) {
+    bits = 0x7c00u;  // overflow to infinity
+  } else {
+    bits = (static_cast<std::uint32_t>(e + 25) << 10) |
+           static_cast<std::uint32_t>(q - 1024);
+  }
+  return static_cast<std::uint16_t>((neg ? 0x8000u : 0u) | bits);
+}
+
+std::uint16_t exact_add(std::uint16_t a, std::uint16_t b) {
+  // x + (-x) is +0; only -0 + -0 is -0.
+  return round_exact(half_units(a) + half_units(b), 24,
+                     (a & b & 0x8000u) != 0);
+}
+
+std::uint16_t exact_mul(std::uint16_t a, std::uint16_t b) {
+  return round_exact(half_units(a) * half_units(b), 48,
+                     ((a ^ b) & 0x8000u) != 0);
+}
+
+std::uint16_t exact_fma(std::uint16_t a, std::uint16_t b, std::uint16_t c) {
+  const i128 product = half_units(a) * half_units(b);
+  const bool product_negative = ((a ^ b) & 0x8000u) != 0;
+  return round_exact(product + (half_units(c) << 24), 48,
+                     product_negative && (c & 0x8000u) != 0);
+}
+
+/// A uniformly drawn finite half bit pattern.
+std::uint16_t random_finite(Rng& rng) {
+  for (;;) {
+    const auto h = static_cast<std::uint16_t>(rng.uniform_u64(0x10000));
+    if (finite_half(h)) return h;
+  }
+}
 
 TEST(Fp16, KnownEncodings) {
   EXPECT_EQ(f32_to_f16_bits(0.0f), 0x0000u);
@@ -100,6 +183,65 @@ TEST(Fp16, FmaIsFused) {
     if (fused.bits() != split.bits()) ++fused_differs;
   }
   EXPECT_GT(fused_differs, 0);  // fusion is observable
+}
+
+TEST(Fp16, ExactReferenceOnKnownCases) {
+  EXPECT_EQ(exact_add(0x4000, 0x4200), 0x4500u);  // 2 + 3 = 5
+  EXPECT_EQ(exact_add(0x6800, 0x3c00), 0x6800u);  // 2048 + 1: tie to even
+  EXPECT_EQ(exact_add(0x6800, 0x4200), 0x6802u);  // 2048 + 3: tie to even
+  EXPECT_EQ(exact_add(0x7bff, 0x7bff), 0x7c00u);  // overflow
+  EXPECT_EQ(exact_add(0x3c00, 0xbc00), 0x0000u);  // x + (-x) = +0
+  EXPECT_EQ(exact_add(0x8000, 0x8000), 0x8000u);  // -0 + -0 = -0
+  EXPECT_EQ(exact_mul(0x0001, 0x3800), 0x0000u);  // 2^-25: tie to even 0
+  EXPECT_EQ(exact_mul(0x8001, 0x3800), 0x8000u);  // ...keeping its sign
+  EXPECT_EQ(exact_mul(0x0001, 0x3c00), 0x0001u);
+  EXPECT_EQ(exact_mul(0x4000, 0x4200), 0x4600u);  // 2 * 3 = 6
+  EXPECT_EQ(exact_fma(0x4000, 0x4200, 0x4000), 0x4800u);  // 2 * 3 + 2 = 8
+}
+
+TEST(Fp16, AddAndMulMatchExactReference) {
+  // Every finite half as one operand, sampled finite halves as the other,
+  // plus near-negations of the first to reach cancellation. float holds a
+  // half product exactly, and a float sum rounds at 24 bits >= 2 * 11 + 2,
+  // so rounding it again to half is still correct: both ops must match the
+  // single exact rounding bit for bit.
+  Rng rng(0xf16);
+  constexpr unsigned kSamples = 48;
+  std::uint64_t checked = 0;
+  for (std::uint32_t x = 0; x < 0x10000u; ++x) {
+    const auto a = static_cast<std::uint16_t>(x);
+    if (!finite_half(a)) continue;
+    const Half ha = Half::from_bits(a);
+    auto check = [&](std::uint16_t b) {
+      const Half hb = Half::from_bits(b);
+      ASSERT_EQ(half_add(ha, hb).bits(), exact_add(a, b))
+          << std::hex << "half_add(0x" << a << ", 0x" << b << ")";
+      ASSERT_EQ(half_mul(ha, hb).bits(), exact_mul(a, b))
+          << std::hex << "half_mul(0x" << a << ", 0x" << b << ")";
+      ++checked;
+    };
+    for (unsigned i = 0; i < kSamples; ++i) check(random_finite(rng));
+    for (unsigned d = 0; d < 7; ++d) {
+      const auto b = static_cast<std::uint16_t>((a ^ 0x8000u) + d - 3u);
+      if (finite_half(b) && ((b ^ a) & 0x8000u) != 0) check(b);
+    }
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(checked, 63488u * kSamples);
+}
+
+TEST(Fp16, FmaRoundsTwiceKnownDefect) {
+  // half_fma rounds the exact product-sum to double, then float, then half,
+  // not once. Here the exact value 1583.49994 rounds to 1583 (0x662f), but
+  // float rounds it to the tie 1583.5 first and half then ties to even,
+  // 1584 (0x6630). A fix changes campaign results, so it needs an engine
+  // version bump and re-pinned digests (ROADMAP item 7); this pin keeps
+  // the change deliberate.
+  EXPECT_EQ(exact_fma(0xc6a2, 0xdb76, 0xad61), 0x662fu);
+  EXPECT_EQ(half_fma(Half::from_bits(0xc6a2), Half::from_bits(0xdb76),
+                     Half::from_bits(0xad61))
+                .bits(),
+            0x6630u);
 }
 
 TEST(Fp16, ConversionIsMonotonic) {
