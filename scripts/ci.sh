@@ -152,6 +152,12 @@ for fork in 0 4; do
 done
 cmp "${JOB_DIR}/mxm.fork0.out.json" "${JOB_DIR}/mxm.fork4.out.json"
 cmp "${JOB_DIR}/mxm.fork0.key" "${JOB_DIR}/mxm.fork4.key"
+# With no --fork-epochs flag the run forks at the default epoch count (one
+# capture event with 8 epochs, checked below) and still matches plain.
+GPUREL_TELEMETRY="${JOB_DIR}/fork.default.jsonl" \
+  "${JOBS_BIN}" run --spec="${JOB_DIR}/mxm.shard0of1.json" \
+  --out="${JOB_DIR}/mxm.default.out.json" >/dev/null
+cmp "${JOB_DIR}/mxm.fork0.out.json" "${JOB_DIR}/mxm.default.out.json"
 # Shared snapshot pool: one capture pass serves every worker, so a forked
 # multi-worker run must emit exactly one campaign_snapshot_capture event,
 # whose retained bytes (executor state included) exceed its memory images.
@@ -165,16 +171,22 @@ cmp "${JOB_DIR}/mxm.fork4.out.json" "${JOB_DIR}/mxm.fork4.warm.json"
 python3 - "${JOB_DIR}" <<'EOF'
 import json, sys
 d = sys.argv[1]
-evs = [json.loads(l) for l in open(f"{d}/fork.jsonl") if l.strip()]
-caps = [e for e in evs if e.get("event") == "campaign_snapshot_capture"]
-assert len(caps) == 1, f"expected exactly 1 capture event, got {len(caps)}"
-assert caps[0]["epochs"] == 4 and caps[0]["image_bytes"] > 0, caps[0]
-assert caps[0]["bytes"] > caps[0]["image_bytes"], caps[0]
+def captures(name):
+    evs = [json.loads(l) for l in open(f"{d}/{name}") if l.strip()]
+    caps = [e for e in evs if e.get("event") == "campaign_snapshot_capture"]
+    assert len(caps) == 1, f"{name}: expected 1 capture event, got {len(caps)}"
+    return caps[0]
+cap = captures("fork.jsonl")
+assert cap["epochs"] == 4 and cap["image_bytes"] > 0, cap
+assert cap["bytes"] > cap["image_bytes"], cap
+default = captures("fork.default.jsonl")
+assert default["epochs"] == 8, f"default run did not fork at 8 epochs: {default}"
 refs = sum(m["value"] for m in json.load(open(f"{d}/fork.metrics.json"))["metrics"]
            if m["name"] == "gpurel_reference_trials_total")
 assert refs == 1, f"expected exactly 1 reference trial, got {refs}"
 print("fork-equivalence smoke OK: forked results byte-identical, "
-      "one shared snapshot capture and one reference trial across 2 workers")
+      "one shared snapshot capture and one reference trial across 2 workers, "
+      "8 epochs by default")
 EOF
 
 echo "==> propagation smoke (provenance JSONL + outcome-identical to plain)"
@@ -294,10 +306,11 @@ cmake --build --preset release -j "${JOBS}" --target bench_gpurel
   --benchmark-json BENCHMARK.json >/dev/null
 
 if [[ "${1:-}" == "asan" ]]; then
-  echo "==> AddressSanitizer pass (serializers / observability / profiler)"
+  echo "==> AddressSanitizer pass (serializers / observability / profiler / memory)"
   cmake --preset asan
   cmake --build --preset asan -j "${JOBS}" --target \
-    test_telemetry test_obs test_profiler test_stats test_table test_determinism
+    test_telemetry test_obs test_profiler test_stats test_table test_determinism \
+    test_memory
   ctest --preset asan -j "${JOBS}"
 fi
 

@@ -360,6 +360,30 @@ std::vector<std::uint64_t> fork_marks(std::uint64_t total, unsigned epochs) {
   return marks;
 }
 
+/// Fork epochs this process captures: config.fork_epochs, capped at one per
+/// kTrialsPerForkEpoch trials it executes (0 = run plain). The trial list
+/// needs the site counts the capture pass itself produces, so the count is
+/// bounded from the budget instead: injections_per_kind trials for every
+/// kind the golden run executed, a stratum's budget for every reached
+/// class, this shard's share of them, less what a resume already covers.
+unsigned fork_epoch_count(const Injector& injector, const core::Workload& w,
+                          const CampaignConfig& config) {
+  if (config.fork_epochs == 0 || !w.fork_safe()) return 0;
+  std::uint64_t trials = 0;
+  for (const std::uint64_t lanes : w.golden_stats().lane_per_unit)
+    if (lanes > 0) trials += config.injections_per_kind;
+  for (const Stratum& s : kStrata)
+    if (injector.reaches(s.cls)) trials += config.*s.budget;
+  std::uint64_t todo = trials > config.shard_index
+                           ? (trials - config.shard_index - 1) /
+                                     config.shard_count + 1
+                           : 0;
+  if (config.resume != nullptr)
+    todo -= std::min<std::uint64_t>(todo, config.resume->trials_done);
+  return static_cast<unsigned>(std::min<std::uint64_t>(
+      config.fork_epochs, todo / kTrialsPerForkEpoch));
+}
+
 /// The trial list: stratified by instruction kind, then every other reached
 /// class the budget funds, in kStrata order. The micro-architectural rows
 /// come last, so the architectural salt chain — and with it every
@@ -437,11 +461,15 @@ CampaignPlan plan_campaign(const Injector& injector, core::Instance& ref,
         "run_campaign: RegisterFile injections requested but " + w.name() +
         " uses no architectural registers");
 
+  if (config.shard_count == 0 || config.shard_index >= config.shard_count)
+    throw std::invalid_argument(
+        "run_campaign: shard_index must be < shard_count (>= 1)");
+
   CampaignPlan plan;
+  const unsigned epochs = fork_epoch_count(injector, w, config);
   const std::vector<std::uint64_t> marks =
-      config.fork_epochs > 0 && w.fork_safe()
-          ? fork_marks(w.golden_stats().lane_instructions, config.fork_epochs)
-          : std::vector<std::uint64_t>{};
+      epochs > 0 ? fork_marks(w.golden_stats().lane_instructions, epochs)
+                 : std::vector<std::uint64_t>{};
   // Site counts: one fault-free run. When forking it is also the capture
   // run, and the counter records the running counts at each snapshot.
   if (marks.empty()) {
@@ -463,9 +491,6 @@ CampaignPlan plan_campaign(const Injector& injector, core::Instance& ref,
   // owns trials t with t % shard_count == shard_index. Outcome tallies
   // cover only owned trials (site counts are per-campaign constants
   // reported in full), so merging all shards reproduces the unsharded run.
-  if (config.shard_count == 0 || config.shard_index >= config.shard_count)
-    throw std::invalid_argument(
-        "run_campaign: shard_index must be < shard_count (>= 1)");
   for (std::size_t t = config.shard_index; t < plan.trials.size();
        t += config.shard_count)
     plan.owned.push_back(t);

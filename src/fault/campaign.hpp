@@ -206,6 +206,14 @@ struct CampaignCheckpoint {
   CampaignResult partial;
 };
 
+/// Default checkpoint-fork epoch count for every campaign (see
+/// CampaignConfig::fork_epochs and job::RunOptions::fork_epochs).
+inline constexpr unsigned kDefaultForkEpochs = 8;
+/// A snapshot pays for its capture and full restores only when several
+/// trials resume from it: a campaign captures at most one epoch per this
+/// many trials it executes, and runs plain below that.
+inline constexpr unsigned kTrialsPerForkEpoch = 4;
+
 struct CampaignConfig : InjectionBudget, obs::RunContext {
   std::uint64_t seed = 0x1234;
   unsigned workers = 1;
@@ -218,17 +226,20 @@ struct CampaignConfig : InjectionBudget, obs::RunContext {
   /// fork-equivalence tests; leave null otherwise.
   std::vector<core::Outcome>* trial_outcomes_out = nullptr;
 
-  /// Checkpoint-fork trial batching: when > 0 and the workload is fork-safe
-  /// (core::Workload::fork_safe), the fault-free site-counting pass, run
-  /// once before workers start, also snapshots device state at up to this
-  /// many evenly spaced epochs; every worker reads that one snapshot set, and
-  /// every trial whose injection fires after an epoch resumes from the
-  /// deepest valid snapshot instead of re-simulating the prefix (delta
-  /// restores: consecutive trials from one snapshot copy back only what the
-  /// previous suffix touched). Per-trial RNG draws and outcomes are
-  /// bit-identical to fork_epochs == 0; only wall-clock changes. Ignored
+  /// Checkpoint-fork trial batching, on by default: when > 0 and the
+  /// workload is fork-safe (core::Workload::fork_safe), the fault-free
+  /// site-counting pass, run once before workers start, also snapshots
+  /// device state at up to this many evenly spaced epochs (at most one per
+  /// kTrialsPerForkEpoch trials this process executes, so a campaign with
+  /// fewer trials than that runs plain); every worker reads that one
+  /// snapshot set, and every trial whose injection fires after an epoch
+  /// resumes from the deepest valid snapshot instead of re-simulating the
+  /// prefix (delta restores: consecutive trials from one snapshot copy back
+  /// only what the previous suffix touched). Per-trial RNG draws and
+  /// outcomes are bit-identical to fork_epochs == 0, the plain reference
+  /// that runs every trial from cycle 0; only wall-clock changes. Ignored
   /// (plain execution) for workloads that are not fork-safe.
-  unsigned fork_epochs = 0;
+  unsigned fork_epochs = kDefaultForkEpochs;
   /// Fault-propagation flight recorder: when true, every executed trial runs
   /// with an obs::PropagationObserver teed behind the injection observer,
   /// producing a per-trial provenance record (emitted as `propagation_record`

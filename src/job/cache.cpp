@@ -46,6 +46,9 @@ std::optional<JobResult> ResultCache::load(const JobSpec& spec) const {
     std::ostringstream buf;
     buf << in.rdbuf();
     JobResult r = result_from_json(json::Value::parse(buf.str()));
+    // A copied or misnamed file holds another job's numbers.
+    if (canonical_json(r.spec) != canonical_json(spec))
+      throw std::runtime_error("entry holds the result of another spec");
     cache_counter("hits").add();
     return r;
   } catch (const std::exception& e) {

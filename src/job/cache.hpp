@@ -32,8 +32,9 @@ class ResultCache {
   /// File a result for `spec` would live at (meaningful when enabled()).
   std::string path_for(const JobSpec& spec) const;
 
-  /// Cached result for `spec`, or nullopt on a miss (also when disabled or
-  /// the stored file fails to parse). Bumps hit/miss counters.
+  /// Cached result for `spec`, or nullopt on a miss (also when disabled, or
+  /// when the stored file fails to parse or embeds a different spec). Bumps
+  /// hit/miss counters.
   std::optional<JobResult> load(const JobSpec& spec) const;
 
   /// Store a result under its spec's cache key; returns false (after a

@@ -10,6 +10,7 @@
 
 #include <string>
 
+#include "fault/campaign.hpp"
 #include "job/cache.hpp"
 #include "job/result.hpp"
 #include "obs/run_context.hpp"
@@ -19,9 +20,10 @@ namespace gpurel::job {
 struct RunOptions {
   unsigned workers = 1;
   /// Campaign jobs only: checkpoint-fork trial batching
-  /// (fault::CampaignConfig::fork_epochs). Results are bit-identical at any
-  /// value, so a forked run shares its plain twin's cache entry.
-  unsigned fork_epochs = 0;
+  /// (fault::CampaignConfig::fork_epochs), on by default; 0 runs plain.
+  /// Results are bit-identical at any value, so a forked run shares its
+  /// plain twin's cache entry.
+  unsigned fork_epochs = fault::kDefaultForkEpochs;
   /// Telemetry/trace/progress wiring forwarded to the engine config.
   obs::RunContext context;
   /// Result cache directory; empty → GPUREL_CACHE env var → cache disabled.

@@ -381,13 +381,11 @@ bool ConvNet::verify(sim::Device& dev) {
   // changes or a score moves beyond the network's tolerance (paper: faults
   // that do not modify the classification result are not SDCs).
   std::size_t g_arg = 0, s_arg = 0;
-  float g_max = golden_scores[0];
   double span = 1e-6;
   for (std::size_t c = 0; c < scores.size(); ++c) {
     if (std::isnan(scores[c]) || std::isinf(scores[c])) return false;
     if (golden_scores[c] > golden_scores[g_arg]) g_arg = c;
     if (scores[c] > scores[s_arg]) s_arg = c;
-    g_max = std::max(g_max, std::fabs(golden_scores[c]));
     span = std::max(span, static_cast<double>(std::fabs(golden_scores[c])));
   }
   if (g_arg != s_arg) return false;

@@ -17,6 +17,8 @@ namespace gpurel::sim {
 
 class Device {
  public:
+  /// `mem_capacity` only bounds device memory: the memory holds the window
+  /// the workload allocates, so construction touches no image.
   explicit Device(arch::GpuConfig config, std::uint32_t mem_capacity = 16u << 20);
 
   // The persistent executor holds references into this device, so the handle

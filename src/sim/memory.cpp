@@ -6,7 +6,8 @@
 
 namespace gpurel::sim {
 
-GlobalMemory::GlobalMemory(std::uint32_t capacity) : data_(capacity, 0) {
+GlobalMemory::GlobalMemory(std::uint32_t capacity)
+    : data_(kNullGuard, 0), capacity_(capacity) {
   if (capacity <= kNullGuard)
     throw std::invalid_argument("GlobalMemory: capacity below null guard");
 }
@@ -15,9 +16,10 @@ std::uint32_t GlobalMemory::alloc(std::uint32_t bytes, std::uint32_t align) {
   if (align == 0 || (align & (align - 1)) != 0)
     throw std::invalid_argument("GlobalMemory::alloc: alignment must be a power of two");
   const std::uint32_t base = (top_ + align - 1) / align * align;
-  if (base + bytes < base || base + bytes > data_.size())
+  if (base + bytes < base || base + bytes > capacity_)
     throw std::runtime_error("GlobalMemory::alloc: device memory exhausted");
   top_ = base + bytes;
+  cover(top_);
   tracking_ = false;  // window changed: the tracked diff base is stale
   return base;
 }
@@ -61,11 +63,14 @@ std::vector<std::uint8_t> GlobalMemory::save_allocated() const {
 
 void GlobalMemory::restore_allocated(std::uint32_t top,
                                      std::span<const std::uint8_t> image) {
-  if (top < kNullGuard || top > data_.size() ||
+  if (top < kNullGuard || top > capacity_ ||
       image.size() != static_cast<std::size_t>(top - kNullGuard))
     throw std::invalid_argument("GlobalMemory::restore_allocated: image does "
                                 "not match the allocation watermark");
+  cover(top);
   std::memcpy(&data_[kNullGuard], image.data(), image.size());
+  // A lower watermark must leave zeros above it, as reset() would.
+  if (top < top_) std::fill(data_.begin() + top, data_.begin() + top_, 0);
   top_ = top;
 }
 
@@ -88,7 +93,7 @@ void GlobalMemory::set_dirty_tracking(bool on) {
 
 std::size_t GlobalMemory::restore_allocated_delta(
     std::uint32_t top, std::span<const std::uint8_t> image) {
-  if (top < kNullGuard || top > data_.size() ||
+  if (top < kNullGuard || top > capacity_ ||
       image.size() != static_cast<std::size_t>(top - kNullGuard))
     throw std::invalid_argument(
         "GlobalMemory::restore_allocated_delta: image does not match the "

@@ -48,10 +48,16 @@ inline void store_raw(std::uint8_t* p, std::uint32_t size, std::uint64_t v) {
 
 }  // namespace detail
 
+/// The byte store holds only the window allocations have reached,
+/// [0, allocated_top): it starts at the null guard and grows, zero-filled,
+/// when alloc() or restore_allocated() raise the watermark past it (reset()
+/// keeps it). `capacity` is only the exhaustion limit. Every byte at or above
+/// the watermark is zero. The store may move when it grows, so nothing keeps
+/// a pointer into it across an alloc().
 class GlobalMemory {
  public:
-  /// `capacity` bytes of device memory. The first `kNullGuard` bytes are
-  /// permanently unmapped.
+  /// Up to `capacity` bytes of device memory. The first `kNullGuard` bytes
+  /// are permanently unmapped.
   explicit GlobalMemory(std::uint32_t capacity);
 
   static constexpr std::uint32_t kNullGuard = 4096;
@@ -102,7 +108,7 @@ class GlobalMemory {
     return static_cast<std::uint64_t>(top_ - kNullGuard) * 8;
   }
 
-  std::uint32_t capacity() const { return static_cast<std::uint32_t>(data_.size()); }
+  std::uint32_t capacity() const { return capacity_; }
   std::uint32_t allocated_top() const { return top_; }
 
   /// Copy out the allocated window [kNullGuard, top) — the only bytes guest
@@ -110,8 +116,9 @@ class GlobalMemory {
   /// checkpoint-fork layer a bit-exact memory image.
   std::vector<std::uint8_t> save_allocated() const;
   /// Overwrite the allocated window with a previously saved image and set the
-  /// allocation watermark to `top`. Throws std::invalid_argument when the
-  /// image size disagrees with `top` or `top` exceeds capacity.
+  /// allocation watermark to `top`, growing the store to it if needed (which
+  /// disarms dirty tracking, as alloc() does). Throws std::invalid_argument
+  /// when the image size disagrees with `top` or `top` exceeds capacity.
   void restore_allocated(std::uint32_t top, std::span<const std::uint8_t> image);
 
   // Coarse dirty tracking for delta restores (checkpoint-fork fast path).
@@ -153,7 +160,15 @@ class GlobalMemory {
     const std::uint32_t last = (addr + size - 1) >> kDirtyPageShift;
     for (std::uint32_t p = first; p <= last; ++p) mark_page(p);
   }
-  std::vector<std::uint8_t> data_;
+  /// Grow the store, zero-filled, so that it covers [0, top). Growing
+  /// disarms dirty tracking: the dirty map only covers the old store.
+  void cover(std::uint32_t top) {
+    if (top <= data_.size()) return;
+    data_.resize(top, 0);
+    tracking_ = false;
+  }
+  std::vector<std::uint8_t> data_;  // [0, highest watermark so far)
+  std::uint32_t capacity_;
   std::uint32_t top_ = kNullGuard;
   bool tracking_ = false;
   std::vector<std::uint8_t> dirty_map_;     // one byte per page

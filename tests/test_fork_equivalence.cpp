@@ -9,12 +9,14 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "beam/experiment.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "isa/kernel_builder.hpp"
+#include "job/runner.hpp"
 #include "kernels/graph.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/microbench.hpp"
@@ -355,7 +357,7 @@ TEST(ForkEquivalence, ForkedCampaignSimulatesItsPrefixOnce) {
     return std::make_unique<AddChainWorkload>(wc, &executes);
   };
   CampaignConfig cc;
-  cc.injections_per_kind = 5;
+  cc.injections_per_kind = 8;  // 16 trials: enough for 4 epochs
   cc.fork_epochs = 4;
   obs::Counter& snapshots =
       obs::Registry::global().counter("gpurel_campaign_snapshots_total");
@@ -365,6 +367,111 @@ TEST(ForkEquivalence, ForkedCampaignSimulatesItsPrefixOnce) {
   const std::uint64_t trials = r.total_injections();
   ASSERT_GT(trials, 0u);
   EXPECT_EQ(executes.load(), 1u + 1u + trials);
+}
+
+TEST(ForkEquivalence, DefaultCampaignForksOnlyForkSafeWorkloads) {
+  // A campaign that sets nothing forks a fork-safe workload at the default
+  // epoch count, and runs a host-stepped one plain.
+  auto inj = make_injector("NVBitFI");
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
+                          0x5eed, 1.0};
+  std::atomic<unsigned> executes{0};
+  const WorkloadFactory fork_safe = [&] {
+    return std::make_unique<AddChainWorkload>(wc, &executes);
+  };
+  const WorkloadFactory host_stepped = [&] {
+    return std::make_unique<Quicksort>(wc);
+  };
+  ASSERT_FALSE(host_stepped()->fork_safe());
+  obs::Counter& snapshots =
+      obs::Registry::global().counter("gpurel_campaign_snapshots_total");
+  // AddChain executes two kinds (IADD, OTHER): 2 * 16 trials fund every
+  // default epoch.
+  for (const auto& [factory, ipk, expected] :
+       {std::tuple{fork_safe, 16u, std::uint64_t{kDefaultForkEpochs}},
+        std::tuple{host_stepped, 2u, std::uint64_t{0}}}) {
+    CampaignConfig cc;
+    cc.injections_per_kind = ipk;
+    const std::uint64_t before = snapshots.value();
+    run_campaign(*inj, factory, cc);
+    EXPECT_EQ(snapshots.value() - before, expected);
+  }
+}
+
+TEST(ForkEquivalence, FewTrialCampaignsCaptureFewerEpochs) {
+  // At most one epoch per kTrialsPerForkEpoch trials the process executes:
+  // a campaign with too few trials runs plain, and a shard or a resume
+  // counts only the trials it runs. Results match plain throughout.
+  auto inj = make_injector("NVBitFI");
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
+                          0x5eed, 1.0};
+  std::atomic<unsigned> executes{0};
+  auto factory = [&] {
+    return std::make_unique<AddChainWorkload>(wc, &executes);
+  };
+  obs::Counter& snapshots =
+      obs::Registry::global().counter("gpurel_campaign_snapshots_total");
+  auto expect_epochs = [&](const CampaignConfig& cc, std::uint64_t expected,
+                           const std::string& what) {
+    CampaignConfig plain = cc;
+    plain.fork_epochs = 0;
+    const CampaignResult want = run_campaign(*inj, factory, plain);
+    const std::uint64_t before = snapshots.value();
+    const CampaignResult got = run_campaign(*inj, factory, cc);
+    EXPECT_EQ(snapshots.value() - before, expected) << what;
+    expect_same_result(want, got);
+  };
+  // AddChain executes two kinds, so a campaign runs 2 * ipk trials.
+  static_assert(kTrialsPerForkEpoch == 4, "cases below assume 4");
+  struct Case {
+    unsigned ipk, shard_count;
+    std::uint64_t expected;
+  };
+  for (const Case c : {Case{1, 1, 0},     // 2 trials: plain
+                       Case{2, 1, 1},     // 4 trials: one epoch
+                       Case{8, 1, 4},     // 16 trials
+                       Case{16, 2, 4}}) {  // 32 trials, 16 on this shard
+    CampaignConfig cc;
+    cc.injections_per_kind = c.ipk;
+    cc.shard_count = c.shard_count;
+    expect_epochs(cc, c.expected,
+                  std::to_string(c.ipk) + " per kind, " +
+                      std::to_string(c.shard_count) + " shards");
+  }
+
+  // 32 trials resumed from a checkpoint: only the trials left count.
+  CampaignConfig cc;
+  cc.injections_per_kind = 16;
+  std::vector<CampaignCheckpoint> checkpoints;
+  {
+    CampaignConfig producer = cc;  // one worker: the checkpoints are fixed
+    producer.checkpoint_every = 1;
+    producer.on_checkpoint = [&](const CampaignCheckpoint& ck) {
+      checkpoints.push_back(ck);
+    };
+    run_campaign(*inj, factory, producer);
+  }
+  ASSERT_FALSE(checkpoints.empty());
+  const CampaignCheckpoint& first = checkpoints.front();
+  ASSERT_GT(first.trials_done, 0u);
+  cc.resume = &first;
+  expect_epochs(cc, (32 - first.trials_done) / kTrialsPerForkEpoch,
+                "resumed at " + std::to_string(first.trials_done));
+}
+
+TEST(ForkEquivalence, DefaultJobRunForks) {
+  // job::run_job with default run options forks a fork-safe campaign too
+  // (8 per kind funds every default epoch on MXM).
+  fault::InjectionBudget budget;
+  budget.injections_per_kind = 8;
+  const job::JobSpec spec = job::campaign_spec(
+      arch::GpuConfig::kepler_k40c(2), {"MXM", Precision::Single}, "NVBitFI",
+      budget, /*seed=*/7, /*input_seed=*/0x5eed, /*scale=*/0.05);
+  obs::Counter& snapshots =
+      obs::Registry::global().counter("gpurel_campaign_snapshots_total");
+  const std::uint64_t before = snapshots.value();
+  job::run_job(spec);
+  EXPECT_EQ(snapshots.value() - before, std::uint64_t{kDefaultForkEpochs});
 }
 
 TEST(ForkEquivalence, OneReferenceTrialPerCampaignAtAnyWorkerCount) {
@@ -437,7 +544,7 @@ TEST(ForkEquivalence, SnapshotPoolGaugeCountsWarpState) {
     return std::make_unique<AddChainWorkload>(wc, &executes);
   };
   CampaignConfig cc;
-  cc.injections_per_kind = 2;
+  cc.injections_per_kind = 8;  // 16 trials: enough for 4 epochs
   cc.fork_epochs = 4;
   run_campaign(*inj, factory, cc);
   const double warp_state =

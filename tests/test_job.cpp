@@ -132,9 +132,11 @@ TEST(JobSpecTest, LegacyForkEpochsKeyHashesLikePlainSpec) {
 // document, embedded spec included, is byte-identical to the plain job's.
 TEST(JobShardTest, ForkBatchedJobReproducesPlainResult) {
   const JobSpec spec = reference_campaign_spec();
+  RunOptions plain;
+  plain.fork_epochs = 0;
   RunOptions forked;
   forked.fork_epochs = 6;
-  const JobResult a = run_job(spec);
+  const JobResult a = run_job(spec, plain);
   const JobResult b = run_job(spec, forked);
   ASSERT_TRUE(a.campaign && b.campaign);
   EXPECT_EQ(result_dump(a), result_dump(b));
@@ -382,6 +384,32 @@ TEST(JobCacheTest, CorruptEntryDegradesToMiss) {
   EXPECT_EQ(result_dump(*cache.load(spec)), result_dump(r));
 }
 
+TEST(JobCacheTest, ForeignEntryDegradesToMiss) {
+  // A well-formed entry stored under another spec's key (a copied or
+  // misnamed file) holds that spec's numbers: it is a miss, and a run of the
+  // requested spec recomputes and overwrites it.
+  const TempDir dir("foreign");
+  const JobSpec a = reference_campaign_spec();
+  JobSpec b = a;
+  b.seed += 1;
+  const ResultCache cache(dir.path.string());
+  RunOptions opts;
+  opts.cache_dir = dir.path.string();
+  run_job(a, opts);
+  fs::copy_file(cache.path_for(a), cache.path_for(b));
+
+  obs::Counter& misses =
+      obs::Registry::global().counter("gpurel_job_cache_misses_total");
+  const std::uint64_t misses_before = misses.value();
+  EXPECT_FALSE(cache.load(b).has_value());
+  EXPECT_EQ(misses.value(), misses_before + 1);
+
+  const JobResult r = run_job(b, opts);
+  EXPECT_EQ(result_dump(r), result_dump(run_job(b)));  // B's own numbers
+  ASSERT_TRUE(cache.load(b).has_value());
+  EXPECT_EQ(result_dump(*cache.load(b)), result_dump(r));
+}
+
 TEST(JobCacheTest, KeyedByEngineVersionAndShard) {
   const JobSpec spec = reference_campaign_spec();
   EXPECT_NE(cache_key(spec), cache_key(with_shard(spec, 0, 2)));
@@ -390,69 +418,92 @@ TEST(JobCacheTest, KeyedByEngineVersionAndShard) {
 
 // ---- checkpoint / resume --------------------------------------------------
 
+// Both execution paths resume: plain (every trial from cycle 0, as host-
+// stepped codes and fork_epochs = 0 run) and checkpoint-fork batching (the
+// default for fork-safe workloads such as ADD).
+constexpr unsigned kResumeForkEpochs[] = {0, fault::kDefaultForkEpochs};
+
 TEST(JobCheckpointTest, ResumeFromMidCheckpointReproducesUninterruptedRun) {
   const JobSpec spec = reference_campaign_spec();
-  const std::string golden = result_dump(run_job(spec));
+  for (const unsigned fork : kResumeForkEpochs) {
+    SCOPED_TRACE("fork_epochs=" + std::to_string(fork));
+    RunOptions base;
+    base.fork_epochs = fork;
+    const std::string golden = result_dump(run_job(spec, base));
 
-  // Capture genuine mid-run checkpoints from an uninterrupted campaign.
-  std::vector<fault::CampaignCheckpoint> checkpoints;
-  {
-    const auto injector = fault::make_injector("NVBitFI");
-    const auto factory = kernels::workload_factory(
-        spec.entry.base, spec.entry.precision,
-        {spec.device, spec.profile, spec.input_seed, spec.scale});
-    fault::CampaignConfig cc;
-    cc.budget() = spec.budget;
-    cc.seed = spec.seed;
-    cc.checkpoint_every = 16;
-    cc.on_checkpoint = [&](const fault::CampaignCheckpoint& ck) {
-      checkpoints.push_back(ck);
-    };
-    fault::run_campaign(*injector, factory, cc);
-  }
-  ASSERT_GE(checkpoints.size(), 2u) << "campaign too small to checkpoint";
-
-  // "Kill" the shard after each checkpoint in turn: write the checkpoint
-  // file the runner would have left behind, then re-run the job. The
-  // resumed run must reproduce the uninterrupted bytes exactly.
-  const TempDir dir("ckpt");
-  const fs::path ckpt = dir.path / "shard.ckpt";
-  for (const fault::CampaignCheckpoint& ck : checkpoints) {
-    json::Value doc = json::Value::object();
-    doc.set("schema_version", kResultSchemaVersion);
-    doc.set("type", "campaign_checkpoint");
-    doc.set("job", cache_key(spec));
-    doc.set("trials_done", ck.trials_done);
-    doc.set("partial", campaign_result_to_json(ck.partial));
+    // Capture genuine mid-run checkpoints from an uninterrupted campaign.
+    std::vector<fault::CampaignCheckpoint> checkpoints;
     {
-      std::ofstream out(ckpt);
-      out << doc.dump() << "\n";
+      const auto injector = fault::make_injector("NVBitFI");
+      const auto factory = kernels::workload_factory(
+          spec.entry.base, spec.entry.precision,
+          {spec.device, spec.profile, spec.input_seed, spec.scale});
+      fault::CampaignConfig cc;
+      cc.budget() = spec.budget;
+      cc.seed = spec.seed;
+      cc.fork_epochs = fork;
+      cc.checkpoint_every = 16;
+      cc.on_checkpoint = [&](const fault::CampaignCheckpoint& ck) {
+        checkpoints.push_back(ck);
+      };
+      fault::run_campaign(*injector, factory, cc);
     }
-    RunOptions opts;
-    opts.checkpoint_path = ckpt.string();
-    opts.checkpoint_every = 16;
-    const JobResult resumed = run_job(spec, opts);
-    EXPECT_EQ(result_dump(resumed), golden)
-        << "resumed from trials_done=" << ck.trials_done;
-    // A completed job must clean up its checkpoint.
-    EXPECT_FALSE(fs::exists(ckpt));
+    ASSERT_GE(checkpoints.size(), 2u) << "campaign too small to checkpoint";
+
+    // "Kill" the shard after each checkpoint in turn: write the checkpoint
+    // file the runner would have left behind, then re-run the job. The
+    // resumed run must reproduce the uninterrupted bytes exactly.
+    const TempDir dir("ckpt");
+    const fs::path ckpt = dir.path / "shard.ckpt";
+    obs::Counter& snapshots =
+        obs::Registry::global().counter("gpurel_campaign_snapshots_total");
+    const std::uint64_t snapshots_before = snapshots.value();
+    for (const fault::CampaignCheckpoint& ck : checkpoints) {
+      json::Value doc = json::Value::object();
+      doc.set("schema_version", kResultSchemaVersion);
+      doc.set("type", "campaign_checkpoint");
+      doc.set("job", cache_key(spec));
+      doc.set("trials_done", ck.trials_done);
+      doc.set("partial", campaign_result_to_json(ck.partial));
+      {
+        std::ofstream out(ckpt);
+        out << doc.dump() << "\n";
+      }
+      RunOptions opts = base;
+      opts.checkpoint_path = ckpt.string();
+      opts.checkpoint_every = 16;
+      const JobResult resumed = run_job(spec, opts);
+      EXPECT_EQ(result_dump(resumed), golden)
+          << "resumed from trials_done=" << ck.trials_done;
+      // A completed job must clean up its checkpoint.
+      EXPECT_FALSE(fs::exists(ckpt));
+    }
+    // The resumed runs took the path under test.
+    if (fork == 0)
+      EXPECT_EQ(snapshots.value(), snapshots_before);
+    else
+      EXPECT_GT(snapshots.value(), snapshots_before);
   }
 }
 
 TEST(JobCheckpointTest, ForeignCheckpointIsIgnored) {
   const JobSpec spec = reference_campaign_spec();
-  const std::string golden = result_dump(run_job(spec));
+  for (const unsigned fork : kResumeForkEpochs) {
+    SCOPED_TRACE("fork_epochs=" + std::to_string(fork));
+    RunOptions opts;
+    opts.fork_epochs = fork;
+    const std::string golden = result_dump(run_job(spec, opts));
 
-  const TempDir dir("ckpt_foreign");
-  const fs::path ckpt = dir.path / "shard.ckpt";
-  {
-    std::ofstream out(ckpt);
-    out << "{\"schema_version\":1,\"type\":\"campaign_checkpoint\","
-           "\"job\":\"somebody-else\",\"trials_done\":3}\n";
+    const TempDir dir("ckpt_foreign");
+    const fs::path ckpt = dir.path / "shard.ckpt";
+    {
+      std::ofstream out(ckpt);
+      out << "{\"schema_version\":1,\"type\":\"campaign_checkpoint\","
+             "\"job\":\"somebody-else\",\"trials_done\":3}\n";
+    }
+    opts.checkpoint_path = ckpt.string();
+    EXPECT_EQ(result_dump(run_job(spec, opts)), golden);
   }
-  RunOptions opts;
-  opts.checkpoint_path = ckpt.string();
-  EXPECT_EQ(result_dump(run_job(spec, opts)), golden);
 }
 
 // ---- runner validation ----------------------------------------------------

@@ -62,8 +62,12 @@ int usage() {
                "  run   --spec=FILE --out=FILE [--workers=N --fork-epochs=N\n"
                "        --cache-dir=DIR --checkpoint=FILE --checkpoint-every=N\n"
                "        --metrics-out=FILE --trace-out=FILE --progress]\n"
+               "        (--fork-epochs defaults to %u, at most one per %u trials"
+               " run;\n"
+               "        0 runs every trial from cycle 0)\n"
                "  merge --out=FILE SHARD_RESULT.json...\n"
-               "  report RESULT.json\n");
+               "  report RESULT.json\n",
+               fault::kDefaultForkEpochs, fault::kTrialsPerForkEpoch);
   return 1;
 }
 
@@ -205,7 +209,7 @@ int cmd_run(const Cli& cli) {
   opts.cache_dir = cli.get("cache-dir");  // empty → GPUREL_CACHE → disabled
   opts.checkpoint_path = cli.get("checkpoint");
   opts.checkpoint_every = u32_flag(cli, "checkpoint-every", 0);
-  opts.fork_epochs = u32_flag(cli, "fork-epochs", 0);
+  opts.fork_epochs = u32_flag(cli, "fork-epochs", opts.fork_epochs);
 
   const job::JobResult result = job::run_job(spec, opts);
   write_doc(out_path, job::result_to_json(result));
