@@ -162,7 +162,8 @@ cmp "${JOB_DIR}/mxm.fork0.out.json" "${JOB_DIR}/mxm.default.out.json"
 # multi-worker run must emit exactly one campaign_snapshot_capture event,
 # whose retained bytes (executor state included) exceed its memory images.
 # The second worker copies the reference instance's golden state, so the run
-# makes exactly one fault-free reference trial.
+# makes exactly one fault-free reference trial. At least one of its trials
+# stops early at a snapshot its state matches again.
 GPUREL_TELEMETRY="${JOB_DIR}/fork.jsonl" \
   "${JOBS_BIN}" run --spec="${JOB_DIR}/mxm.shard0of1.json" --fork-epochs=4 \
   --out="${JOB_DIR}/mxm.fork4.warm.json" --workers=2 \
@@ -181,12 +182,18 @@ assert cap["epochs"] == 4 and cap["image_bytes"] > 0, cap
 assert cap["bytes"] > cap["image_bytes"], cap
 default = captures("fork.default.jsonl")
 assert default["epochs"] == 8, f"default run did not fork at 8 epochs: {default}"
-refs = sum(m["value"] for m in json.load(open(f"{d}/fork.metrics.json"))["metrics"]
-           if m["name"] == "gpurel_reference_trials_total")
+metrics = json.load(open(f"{d}/fork.metrics.json"))["metrics"]
+def total(name):
+    return sum(m["value"] for m in metrics if m["name"] == name)
+refs = total("gpurel_reference_trials_total")
 assert refs == 1, f"expected exactly 1 reference trial, got {refs}"
+# Reconvergence drop: some trials rejoin the fault-free run and stop at a
+# snapshot, and the cmp legs above show that changes no result byte.
+dropped = total("gpurel_campaign_dropped_trials_total")
+assert dropped >= 1, f"expected at least 1 dropped trial, got {dropped}"
 print("fork-equivalence smoke OK: forked results byte-identical, "
       "one shared snapshot capture and one reference trial across 2 workers, "
-      "8 epochs by default")
+      f"{dropped:g} dropped trial(s), 8 epochs by default")
 EOF
 
 echo "==> propagation smoke (provenance JSONL + outcome-identical to plain)"
@@ -273,8 +280,8 @@ EOF
 echo "==> ThreadSanitizer quick leg (thread pool + campaign determinism + fork)"
 # Always-on subset of the full tsan preset: the tests that exercise the
 # worker pool, the cross-worker bit-identity contract, the shared snapshot
-# pool (read-only snapshot set + per-worker delta restores across workers),
-# and the multi-worker MicroArch campaigns (machine-state strikes from
+# pool (read-only snapshot set + per-worker delta restores and reconvergence
+# drops across workers), and the multi-worker MicroArch campaigns (machine-state strikes from
 # worker threads). The preset's ctest filter covers more binaries; build and
 # run just these four here.
 cmake --preset tsan

@@ -1,6 +1,7 @@
 #include "core/workload.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/metrics.hpp"
 
@@ -80,7 +81,7 @@ TrialRunner::TrialRunner(sim::Device& dev, sim::SimObserver* obs,
     : dev_(dev), obs_(obs), cycle_budget_(cycle_budget) {}
 
 bool TrialRunner::launch(const sim::KernelLaunch& kl) {
-  if (due()) return false;
+  if (due() || dropped_ != nullptr) return false;
   if (resume_ != nullptr && ordinal_ < resume_->launch_ordinal) {
     ++ordinal_;  // already part of the snapshot; stats preset via resume_from
     return true;
@@ -104,10 +105,21 @@ bool TrialRunner::launch(const sim::KernelLaunch& kl) {
     io.out = capture_out_;
     fork = &io;
   }
+  if (golden_ != nullptr) {
+    io.golden = golden_;
+    io.next_golden = golden_next_;
+    io.lane_base = stats_.lane_instructions;
+    io.prior_cycles = stats_.cycles;
+    fork = &io;
+  }
   const std::size_t before =
       io.out != nullptr ? capture_out_->size() : 0;
   const unsigned ordinal = ordinal_++;
   const sim::LaunchStats st = dev_.launch(kl, obs_, remaining, ordinal, fork);
+  if (io.golden != nullptr) {
+    golden_next_ = io.next_golden;
+    dropped_ = io.dropped;
+  }
   if (io.out != nullptr) {
     capture_next_ = io.next_mark;
     // Stamp trial-level context on the snapshots this launch appended:
@@ -118,7 +130,7 @@ bool TrialRunner::launch(const sim::KernelLaunch& kl) {
     }
   }
   stats_.merge(st);
-  return stats_.due == sim::DueKind::None;
+  return stats_.due == sim::DueKind::None && dropped_ == nullptr;
 }
 
 void TrialRunner::enable_capture(const std::vector<std::uint64_t>* marks,
@@ -132,6 +144,19 @@ void TrialRunner::resume_from(const sim::Snapshot& snap, bool delta) {
   resume_ = &snap;
   resume_delta_ = delta;
   stats_ = snap.prior;
+}
+
+void TrialRunner::enable_drop(const std::vector<sim::Snapshot>* golden) {
+  golden_ = golden;
+  golden_next_ = 0;
+  if (golden == nullptr || resume_ == nullptr) return;
+  // A resumed trial starts at its own snapshot: only later marks count.
+  auto position = [](const sim::Snapshot& s) {
+    return std::pair{s.launch_ordinal, s.lane_mark};
+  };
+  while (golden_next_ < golden->size() &&
+         position((*golden)[golden_next_]) <= position(*resume_))
+    ++golden_next_;
 }
 
 void TrialRunner::force_due(sim::DueKind kind) {
@@ -273,13 +298,15 @@ bool Workload::verify(sim::Device& dev) {
   return true;
 }
 
-TrialResult Workload::run_trial(sim::Device& dev, sim::SimObserver* obs) {
+TrialResult Workload::run_trial(sim::Device& dev, sim::SimObserver* obs,
+                                const std::vector<sim::Snapshot>* golden_snaps) {
   if (!prepared_) throw std::logic_error(name() + ": run_trial before prepare()");
   fork_resident_ = nullptr;  // reset() below disarms dirty tracking
   dev.reset();
   outputs_.clear();
   setup(dev);
   TrialRunner runner(dev, obs, watchdog_budget_);
+  runner.enable_drop(golden_snaps);
   execute(dev, runner);
   return classify(dev, runner);
 }
@@ -307,9 +334,9 @@ void Workload::capture_prefix(sim::Device& dev,
     throw std::logic_error(name() + ": capture run missed snapshot marks");
 }
 
-TrialResult Workload::run_trial_forked(sim::Device& dev,
-                                       const sim::Snapshot& snap,
-                                       sim::SimObserver* obs, bool delta) {
+TrialResult Workload::run_trial_forked(
+    sim::Device& dev, const sim::Snapshot& snap, sim::SimObserver* obs,
+    bool delta, const std::vector<sim::Snapshot>* golden_snaps) {
   if (!prepared_)
     throw std::logic_error(name() + ": run_trial_forked before prepare()");
   if (!fork_safe())
@@ -342,12 +369,28 @@ TrialResult Workload::run_trial_forked(sim::Device& dev,
   }
   TrialRunner runner(dev, obs, watchdog_budget_);
   runner.resume_from(snap, delta);
+  runner.enable_drop(golden_snaps);
   execute(dev, runner);
   return classify(dev, runner);
 }
 
 TrialResult Workload::classify(sim::Device& dev, TrialRunner& runner) {
   TrialResult result;
+  if (const sim::Snapshot* at = runner.dropped_at()) {
+    // The trial rejoined the fault-free run at `at`, whose suffix it would
+    // have replayed: Masked, with the golden stats. Device memory holds a
+    // mid-run image, so verify() must not look at it.
+    static obs::Counter& m_dropped =
+        obs::Registry::global().counter("gpurel_campaign_dropped_trials_total");
+    static obs::Counter& m_dropped_cycles =
+        obs::Registry::global().counter("gpurel_campaign_dropped_cycles_total");
+    m_dropped.add();
+    m_dropped_cycles.add(golden_stats_.cycles -
+                         (at->prior.cycles + at->exec.cycle));
+    result.stats = golden_stats_;
+    result.dropped = true;
+    return result;
+  }
   result.stats = runner.stats();
   result.stats.finalize(config_.gpu.max_warps_per_sm);
   if (runner.due()) {

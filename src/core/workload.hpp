@@ -64,6 +64,9 @@ struct TrialResult {
   sim::DueKind due = sim::DueKind::None;
   DueCause cause = DueCause::None;  // = due_cause_of(due) on a DUE
   sim::LaunchStats stats;  // merged over all launches of the trial
+  /// The trial stopped at a golden snapshot its state matched (see
+  /// Workload::run_trial): Masked, with the fault-free run's stats.
+  bool dropped = false;
 };
 
 class Workload;
@@ -78,8 +81,9 @@ class TrialRunner {
  public:
   TrialRunner(sim::Device& dev, sim::SimObserver* obs, std::uint64_t cycle_budget);
 
-  /// Launch a kernel; returns false once a DUE has occurred (callers must
-  /// stop driving the trial). Safe to call after a DUE (no-op, false).
+  /// Launch a kernel; returns false once a DUE has occurred or the trial
+  /// was dropped (callers must stop driving the trial). Safe to call after
+  /// either (no-op, false).
   bool launch(const sim::KernelLaunch& kl);
 
   /// Force a DUE from host-side logic (e.g. an iterative workload whose
@@ -100,8 +104,16 @@ class TrialRunner {
   /// the executor's dirty-flag delta restore when it is still resident on
   /// this snapshot (bit-identical either way).
   void resume_from(const sim::Snapshot& snap, bool delta = false);
+  /// Drop mode (call after resume_from, if resuming): `golden` is the
+  /// fault-free snapshot set of a capture run of this trial. At each of its
+  /// marks past the trial's start point, the trial stops when its state
+  /// equals the mark's (sim::ForkIO's drop role); launch() then returns
+  /// false. The set must outlive the trial.
+  void enable_drop(const std::vector<sim::Snapshot>* golden);
 
   bool due() const { return stats_.due != sim::DueKind::None; }
+  /// The golden snapshot the trial stopped at, or null.
+  const sim::Snapshot* dropped_at() const { return dropped_; }
   const sim::LaunchStats& stats() const { return stats_; }
 
  private:
@@ -115,6 +127,9 @@ class TrialRunner {
   std::size_t capture_next_ = 0;
   const sim::Snapshot* resume_ = nullptr;
   bool resume_delta_ = false;
+  const std::vector<sim::Snapshot>* golden_ = nullptr;
+  std::size_t golden_next_ = 0;
+  const sim::Snapshot* dropped_ = nullptr;
 };
 
 struct WorkloadConfig {
@@ -184,7 +199,15 @@ class Workload {
   std::vector<std::uint64_t> corrupted_elements(sim::Device& dev) const;
 
   /// Execute one trial against fresh device memory and classify the result.
-  TrialResult run_trial(sim::Device& dev, sim::SimObserver* obs = nullptr);
+  /// Given `golden_snaps`, the snapshot set capture_prefix produced for this
+  /// workload and inputs, the trial stops at the first of its marks where it
+  /// has rejoined the fault-free run: the observer claims no hook and the
+  /// simulated state equals the snapshot. It is then classified Masked with
+  /// the golden stats, and bumps gpurel_campaign_dropped_trials_total and
+  /// gpurel_campaign_dropped_cycles_total (the golden cycles it skipped). By
+  /// determinism the result is the one the whole trial would produce.
+  TrialResult run_trial(sim::Device& dev, sim::SimObserver* obs = nullptr,
+                        const std::vector<sim::Snapshot>* golden_snaps = nullptr);
 
   /// Run one fault-free trial, capturing a snapshot at each cumulative
   /// lane-instruction mark (sorted, strictly increasing, all below the
@@ -208,9 +231,11 @@ class Workload {
   /// pages/warps the previous suffix touched (O(footprint) instead of
   /// O(device image)). Any intervening plain trial, capture, or different
   /// snapshot falls back to the full path. Results are bit-identical.
-  TrialResult run_trial_forked(sim::Device& dev, const sim::Snapshot& snap,
-                               sim::SimObserver* obs = nullptr,
-                               bool delta = false);
+  /// `golden_snaps` is run_trial's; marks at or before `snap` are skipped.
+  TrialResult run_trial_forked(
+      sim::Device& dev, const sim::Snapshot& snap,
+      sim::SimObserver* obs = nullptr, bool delta = false,
+      const std::vector<sim::Snapshot>* golden_snaps = nullptr);
 
   /// Bytes of snapshot image copied back by the most recent
   /// run_trial_forked restore (full image size, or the dirty subset on the

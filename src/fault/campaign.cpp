@@ -536,6 +536,7 @@ struct TrialRecords {
   std::vector<core::DueCause> causes;
   std::vector<std::uint64_t> cycles;           // with trial_cycles_out only
   std::vector<obs::PropagationRecord> props;   // with propagation only
+  telemetry::Counter dropped;  // trials stopped at a golden snapshot
 };
 
 /// Tally step: fold the outcomes of owned positions [p_begin, p_end) into
@@ -647,7 +648,11 @@ void TrialBody::run(core::Instance& inst, std::size_t t) const {
 
   // Fork or run plain. A forked trial's observer is preset to the
   // fault-free prefix it skips: the site count (or, for a strike, the
-  // cycle base) and the tracker's lane-instruction clock.
+  // cycle base) and the tracker's lane-instruction clock. Either way the
+  // trial gets the snapshot set, and stops at the first later snapshot its
+  // state matches once its observer claims no hook.
+  const std::vector<sim::Snapshot>* golden =
+      plan.forking() ? &plan.snaps : nullptr;
   core::TrialResult r;
   if (epoch >= 0) {
     const auto e = static_cast<std::size_t>(epoch);
@@ -659,13 +664,14 @@ void TrialBody::run(core::Instance& inst, std::size_t t) const {
       if (propagation) prop.preset_lane_count(at.total_lane);
     }
     r = inst.w->run_trial_forked(*inst.dev, plan.snaps[e], observer,
-                                 /*delta=*/true);
+                                 /*delta=*/true, golden);
     m_restore_bytes.add(inst.w->last_restore_bytes());
   } else {
-    r = inst.w->run_trial(*inst.dev, observer);
+    r = inst.w->run_trial(*inst.dev, observer, golden);
   }
   m_latency.observe(trial_wall.elapsed_ms());
   m_trials.add();
+  if (r.dropped) rec.dropped.add();
 
   // Record.
   rec.outcomes[t] = r.outcome;
@@ -1018,6 +1024,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
                 {"masked", all.masked},
                 {"sdc", all.sdc},
                 {"due", all.due},
+                {"dropped", rec.dropped.value()},
                 {"wall_ms", ms},
                 {"trials_per_sec",
                  ms > 0 ? 1000.0 * static_cast<double>(todo) / ms : 0.0}});

@@ -273,6 +273,12 @@ const char* metric_help(const std::string& name) {
       {"gpurel_campaign_trial_latency_ms", "Wall-clock latency of one trial"},
       {"gpurel_campaign_snapshots_total",
        "Fork-prefix snapshots captured across workers"},
+      {"gpurel_campaign_dropped_trials_total",
+       "Campaign trials stopped early at a fork snapshot their state matched "
+       "again (classified Masked with the fault-free stats)"},
+      {"gpurel_campaign_dropped_cycles_total",
+       "Fault-free cycles dropped trials did not simulate: golden cycles "
+       "minus the drop point"},
       {"gpurel_campaign_snapshot_pool_bytes",
        "Bytes retained for fork batching: the shared snapshot set (memory "
        "images, warp state and shared memory) plus per-worker "

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -332,6 +334,110 @@ void Executor::restore_snapshot(const ExecutorSnapshot& snap, bool delta) {
     s.touched = false;
   }
   rebuild_live_lists();
+}
+
+bool Executor::matches(const Snapshot& snap, std::uint64_t cycle) const {
+  const ExecutorSnapshot& e = snap.exec;
+  if (cycle != e.cycle || next_block_ != e.next_block ||
+      total_blocks_ != e.total_blocks ||
+      completed_blocks_ != e.completed_blocks ||
+      next_warp_id_ != e.next_warp_id ||
+      max_blocks_per_sm_ != e.max_blocks_per_sm || sms_.size() != e.sms.size() ||
+      global_.allocated_top() != snap.memory_top)
+    return false;
+
+  // Scalars and lists first, in make_snapshot's walk order (SM, block, warp),
+  // so that trials which never reconverge pay little. Every index is
+  // bounds-checked here; the passes below rely on it.
+  std::size_t bi = 0, wi = 0;
+  for (std::size_t sm = 0; sm < sms_.size(); ++sm) {
+    const SmState& s = sms_[sm];
+    const SmSnap& ss = e.sms[sm];
+    if (s.rr != ss.rr || s.resident_warps != ss.resident_warps ||
+        s.next_wake != ss.next_wake || s.blocks.size() != ss.blocks.size() ||
+        s.warps.size() != ss.warps.size())
+      return false;
+    const std::size_t first_block = bi;
+    for (std::size_t k = 0; k < s.blocks.size(); ++k, ++bi) {
+      const BlockRt& b = *s.blocks[k];
+      if (ss.blocks[k] != bi || bi >= e.blocks.size()) return false;
+      const BlockSnap& bs = e.blocks[bi];
+      if (b.cta_x != bs.cta_x || b.cta_y != bs.cta_y || b.sm != bs.sm ||
+          b.threads != bs.threads || b.warps_total != bs.warps_total ||
+          b.warps_exited != bs.warps_exited ||
+          b.warps_at_barrier != bs.warps_at_barrier ||
+          b.warps.size() != bs.warps.size())
+        return false;
+      for (std::size_t m = 0; m < b.warps.size(); ++m, ++wi) {
+        const WarpRt& w = *b.warps[m];
+        if (bs.warps[m] != wi || wi >= e.warps.size()) return false;
+        const WarpSnap& ws = e.warps[wi];
+        if (ws.block_index != bi || w.sm != ws.sm ||
+            w.scheduler != ws.scheduler || w.warp_id != ws.warp_id ||
+            w.warp_in_block != ws.warp_in_block || w.pc != ws.pc ||
+            w.active != ws.active || w.exited != ws.exited ||
+            w.at_barrier != ws.at_barrier || w.next_try != ws.next_try ||
+            !std::equal(w.stack.begin(), w.stack.end(), ws.stack.begin(),
+                        ws.stack.end(),
+                        [](const StackEntry& a, const StackEntry& c) {
+                          return a.kind == c.kind && a.pc == c.pc &&
+                                 a.mask == c.mask;
+                        }))
+          return false;
+      }
+    }
+    // The SM's warp list, in its own (scheduling) order: entry j names a
+    // warp of one of this SM's blocks just walked.
+    for (std::size_t j = 0; j < s.warps.size(); ++j) {
+      const std::size_t x = ss.warps[j];
+      if (x >= wi) return false;
+      const std::size_t xb = e.warps[x].block_index;
+      if (xb < first_block || xb >= bi) return false;
+      const std::vector<WarpRt*>& bw = s.blocks[xb - first_block]->warps;
+      const std::size_t m = x - e.blocks[xb].warps.front();
+      if (m >= bw.size() || bw[m] != s.warps[j]) return false;
+    }
+  }
+  if (bi != e.blocks.size() || wi != e.warps.size()) return false;
+
+  // Then the arrays, registers last. Nothing reads a register or its
+  // scoreboard entry at or above regs_per_thread (tests/test_workloads_param
+  // pins this for every program), so those are skipped.
+  const std::size_t regs =
+      std::min<std::size_t>(launch_->program->regs_per_thread(), 256);
+  auto each = [&](auto&& block_eq, auto&& warp_eq) {
+    std::size_t b = 0, w = 0;
+    for (const SmState& s : sms_)
+      for (const BlockRt* blk : s.blocks) {
+        if (!block_eq(*blk, e.blocks[b++])) return false;
+        for (const WarpRt* wp : blk->warps)
+          if (!warp_eq(*wp, e.warps[w++])) return false;
+      }
+    return true;
+  };
+  const auto same_shared = [](const BlockRt& b, const BlockSnap& bs) {
+    return b.shared == bs.shared;
+  };
+  const auto same_scoreboard = [&](const WarpRt& w, const WarpSnap& ws) {
+    return w.pred_ready == ws.pred_ready &&
+           std::equal(w.reg_ready.begin(), w.reg_ready.begin() + regs,
+                      ws.reg_ready.begin());
+  };
+  const auto any_block = [](const BlockRt&, const BlockSnap&) { return true; };
+  const auto same_registers = [&](const WarpRt& w, const WarpSnap& ws) {
+    for (unsigned l = 0; l < 32; ++l)
+      if (w.lanes[l].preds != ws.lanes[l].preds ||
+          std::memcmp(w.lanes[l].r.data(), ws.lanes[l].r.data(),
+                      regs * sizeof(std::uint32_t)) != 0)
+        return false;
+    return true;
+  };
+  const std::span<const std::uint8_t> mem = global_.allocated();
+  return each(same_shared, same_scoreboard) &&
+         mem.size() == snap.memory.size() &&
+         (mem.empty() ||
+          std::memcmp(mem.data(), snap.memory.data(), mem.size()) == 0) &&
+         each(any_block, same_registers);
 }
 
 void Executor::refresh_wake(SmState& s) {
@@ -1067,6 +1173,7 @@ LaunchStats Executor::run(const KernelLaunch& launch, SimObserver* observer,
   const Snapshot* resume = fork != nullptr ? fork->resume : nullptr;
   const bool capturing =
       fork != nullptr && resume == nullptr && fork->marks != nullptr;
+  const bool dropping = fork != nullptr && fork->golden != nullptr;
 
   launch_ = &launch;
   obs_ = observer;
@@ -1143,6 +1250,28 @@ LaunchStats Executor::run(const KernelLaunch& launch, SimObserver* observer,
       if (obs_ != nullptr) obs_->on_capture();
     }
   };
+  // Uses up every golden mark the trial has reached and reports whether the
+  // last of them is this boundary, with the observer idle and the state
+  // equal, so the run may stop (see ForkIO's drop role).
+  auto reconverged = [&] {
+    const std::vector<Snapshot>& golden = *fork->golden;
+    const std::uint64_t lanes = fork->lane_base + stats_.lane_instructions;
+    const Snapshot* last = nullptr;
+    while (fork->next_golden < golden.size()) {
+      const Snapshot& g = golden[fork->next_golden];
+      if (g.launch_ordinal > launch_ordinal ||
+          (g.launch_ordinal == launch_ordinal && g.lane_mark > lanes))
+        break;
+      last = &g;
+      ++fork->next_golden;
+    }
+    if (last == nullptr || last->launch_ordinal != launch_ordinal ||
+        last->lane_mark != lanes || last->prior.cycles != fork->prior_cycles ||
+        (obs_ != nullptr && obs_->wants() != 0) || !matches(*last, cycle))
+      return false;
+    fork->dropped = last;
+    return true;
+  };
   while (completed_blocks_ < total_blocks_ && due_ == DueKind::None) {
     // Next event: the earliest per-SM wake cycle (each SM caches the min
     // next_try over its schedulable warps).
@@ -1157,6 +1286,9 @@ LaunchStats Executor::run(const KernelLaunch& launch, SimObserver* observer,
     // on_capture reports this one boundary to the observer, so the site
     // counts a counting observer records there match the snapshot.
     if (capturing && due_ == DueKind::None && next > cycle) capture();
+    // The reconvergence drop checks at the same boundary: from a state the
+    // fault-free run reached, the rest of the launch replays that run.
+    if (dropping && next > cycle && reconverged()) break;
 
     if (next == std::numeric_limits<std::uint64_t>::max()) {
       raise_due(DueKind::BarrierDeadlock);
@@ -1230,8 +1362,11 @@ LaunchStats Executor::run(const KernelLaunch& launch, SimObserver* observer,
   // Final-cycle capture: marks crossed by the launch's last cycle never see
   // a later event inside the loop, so they are flushed here. Resuming such
   // a snapshot re-enters the loop with every block complete and exits
-  // immediately, which is exactly the state it captured.
+  // immediately, which is exactly the state it captured. The drop checks
+  // the same final boundary.
   if (capturing && due_ == DueKind::None) capture();
+  if (dropping && due_ == DueKind::None && fork->dropped == nullptr)
+    reconverged();
 
   stats_.cycles = cycle;
   stats_.due = due_;

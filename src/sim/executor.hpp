@@ -53,9 +53,11 @@ class Executor final : public Machine {
   /// watchdog budget (0 = no watchdog). The observer may be null. The
   /// executor is reusable: state is re-initialised at the start of each run
   /// while pooled block/warp storage is retained across calls. `fork` (may
-  /// be null) selects snapshot capture or mid-launch resume — see
-  /// sim/snapshot.hpp; either way the simulated schedule, stats, and memory
-  /// effects are bit-identical to a plain run reaching the same state.
+  /// be null) selects snapshot capture, mid-launch resume and/or the
+  /// reconvergence drop — see sim/snapshot.hpp; either way the simulated
+  /// schedule, stats, and memory effects are bit-identical to a plain run
+  /// reaching the same state (a dropped run stops early at a state the
+  /// plain run reaches).
   LaunchStats run(const KernelLaunch& launch, SimObserver* observer,
                   std::uint64_t max_cycles, unsigned launch_ordinal = 0,
                   ForkIO* fork = nullptr);
@@ -123,6 +125,14 @@ class Executor final : public Machine {
   /// scalars, SM lists and counters are always rewritten. Bit-identical
   /// either way.
   void restore_snapshot(const ExecutorSnapshot& snap, bool delta);
+  /// Whether the live state at end-of-cycle `cycle` equals `snap`: executor
+  /// scalars, SM lists and cursors, every resident block and warp (compared
+  /// in place, in make_snapshot's order, with the entity of the same index)
+  /// and the allocated global memory. Allocates nothing. Registers and
+  /// scoreboard entries at or above the program's regs_per_thread, which no
+  /// instruction reads, and the LaunchStats accumulators, which no
+  /// scheduling decision reads, are not compared.
+  bool matches(const Snapshot& snap, std::uint64_t cycle) const;
   void refresh_wake(SmState& s);
   void place_block(unsigned sm, unsigned linear_block, std::uint64_t cycle);
   void remove_block(BlockRt* block, std::uint64_t cycle);

@@ -115,6 +115,11 @@ class GlobalMemory {
   /// code can touch. Together with restore_allocated this gives the
   /// checkpoint-fork layer a bit-exact memory image.
   std::vector<std::uint8_t> save_allocated() const;
+  /// The allocated window [kNullGuard, top) in place, for comparing it with
+  /// a saved image without copying.
+  std::span<const std::uint8_t> allocated() const {
+    return {data_.data() + kNullGuard, top_ - kNullGuard};
+  }
   /// Overwrite the allocated window with a previously saved image and set the
   /// allocation watermark to `top`, growing the store to it if needed (which
   /// disarms dirty tracking, as alloc() does). Throws std::invalid_argument
@@ -202,6 +207,8 @@ class SharedMemory {
   void flip_bit(std::uint64_t bit_index);
   std::uint64_t bits() const { return static_cast<std::uint64_t>(data_.size()) * 8; }
   std::uint32_t size() const { return static_cast<std::uint32_t>(data_.size()); }
+
+  bool operator==(const SharedMemory&) const = default;
 
  private:
   std::vector<std::uint8_t> data_;

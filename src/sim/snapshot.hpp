@@ -16,7 +16,10 @@
 // to its observer (SimObserver::on_capture) right after appending the
 // snapshot, which is how the campaign layer's site-counting pass records
 // the per-class fault sites each prefix consumed while it captures — one
-// fault-free run, one boundary (see fault/campaign.cpp).
+// fault-free run, one boundary (see fault/campaign.cpp). The same set is the
+// fault-free reference every trial of the campaign is checked against at
+// those boundaries: a trial whose state equals a snapshot again stops there
+// (ForkIO's drop role).
 #pragma once
 
 #include <array>
@@ -116,8 +119,8 @@ struct Snapshot {
   }
 };
 
-/// Capture/resume channel of Executor::run. Exactly one of the two roles is
-/// active per launch:
+/// Capture/resume/drop channel of Executor::run. Capture excludes the other
+/// two roles; resume and drop may share a launch:
 ///  - capture: `marks` names cumulative lane-instruction thresholds (sorted,
 ///    strictly increasing); at the end of the first cycle whose cumulative
 ///    count (lane_base + this launch's lane_instructions) reaches each
@@ -128,6 +131,17 @@ struct Snapshot {
 ///  - resume: `resume` points at a previously captured Snapshot; the run
 ///    restores executor state from it (the caller restores global memory)
 ///    and continues from the saved cycle instead of placing blocks afresh.
+///  - drop: `golden` is the fault-free snapshot set a capture run of the
+///    same trial produced, and `next_golden` the first of its marks this
+///    trial has not passed. At the cycle boundaries where capture runs, every
+///    mark the trial has reached (an earlier launch ordinal, or this one at a
+///    cumulative lane count at or past the mark's lane_mark) is used up, and
+///    the last one checked: when it is this launch's, sits at exactly this
+///    lane count and cycle, `prior_cycles` (the caller's cycles before this
+///    launch) equals its prior.cycles, the observer claims no hook, and the
+///    live executor state and global memory equal it, the run stops there and
+///    sets `dropped`. By determinism the rest of the trial would replay the
+///    fault-free suffix, so the caller reports the fault-free result.
 struct ForkIO {
   const std::vector<std::uint64_t>* marks = nullptr;
   std::size_t next_mark = 0;
@@ -140,6 +154,11 @@ struct ForkIO {
   /// shared memory of clean warp/block slots are not copied back; otherwise
   /// every slot is copied. Either way the restored state is bit-identical.
   bool delta = false;
+  const std::vector<Snapshot>* golden = nullptr;
+  std::size_t next_golden = 0;
+  std::uint64_t prior_cycles = 0;
+  /// Drop output: the golden snapshot the run stopped at, or null.
+  const Snapshot* dropped = nullptr;
 };
 
 }  // namespace gpurel::sim

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -307,6 +308,156 @@ TEST(ForkEquivalence, CapturePrefixAndFaultFreeResume) {
     EXPECT_EQ(resumed.stats.warp_instructions, fresh.stats.warp_instructions)
         << "epoch " << i;
   }
+
+  // Given the snapshot set, a fault-free trial stops at the first mark after
+  // its start: Masked, the golden cycle count, one drop, and the golden
+  // cycles past that mark left unsimulated. From the last mark there is none
+  // to stop at, and the trial runs to its end.
+  obs::Counter& dropped =
+      obs::Registry::global().counter("gpurel_campaign_dropped_trials_total");
+  obs::Counter& dropped_cycles =
+      obs::Registry::global().counter("gpurel_campaign_dropped_cycles_total");
+  auto expect_stops_at = [&](auto&& trial, std::size_t next,
+                             const std::string& what) {
+    const std::uint64_t trials_before = dropped.value();
+    const std::uint64_t cycles_before = dropped_cycles.value();
+    const core::TrialResult r = trial();
+    EXPECT_EQ(r.outcome, core::Outcome::Masked) << what;
+    EXPECT_EQ(r.stats.cycles, fresh.stats.cycles) << what;
+    const bool stops = next < snaps.size();
+    EXPECT_EQ(r.dropped, stops) << what;
+    EXPECT_EQ(dropped.value() - trials_before, stops ? 1u : 0u) << what;
+    EXPECT_EQ(dropped_cycles.value() - cycles_before,
+              stops ? fresh.stats.cycles - (snaps[next].prior.cycles +
+                                            snaps[next].exec.cycle)
+                    : 0u)
+        << what;
+  };
+  expect_stops_at([&] { return w.run_trial(dev, nullptr, &snaps); }, 0,
+                  "from cycle 0");
+  for (std::size_t i = 0; i < snaps.size(); ++i)
+    expect_stops_at(
+        [&] { return w.run_trial_forked(dev, snaps[i], nullptr, true, &snaps); },
+        i + 1, "from epoch " + std::to_string(i));
+}
+
+TEST(ForkEquivalence, StateCompareSeesEverySingleChange) {
+  // The drop compares the whole live state with the snapshot, in place. A
+  // fault-free trial resumed from one snapshot stops at the next one; with
+  // any single part of that snapshot changed, it must not stop, and runs to
+  // its end with the same result.
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2),
+                          isa::CompilerProfile::Cuda10, 0x5eed, 0.05};
+  MxM w(wc, Precision::Single, 16);
+  sim::Device dev(wc.gpu);
+  w.prepare(dev);
+  const std::uint64_t total = w.golden_stats().lane_instructions;
+  std::vector<sim::Snapshot> snaps;
+  w.capture_prefix(dev, {total / 3, 2 * total / 3}, snaps);
+  ASSERT_EQ(snaps.size(), 2u);
+  ASSERT_FALSE(snaps[1].exec.warps.empty());
+  ASSERT_FALSE(snaps[1].memory.empty());
+
+  auto stops = [&](const sim::Snapshot& mark) {
+    const std::vector<sim::Snapshot> golden{mark};
+    const core::TrialResult r =
+        w.run_trial_forked(dev, snaps[0], nullptr, true, &golden);
+    EXPECT_EQ(r.outcome, core::Outcome::Masked);
+    EXPECT_EQ(r.stats.cycles, w.golden_stats().cycles);
+    return r.dropped;
+  };
+  EXPECT_TRUE(stops(snaps[1]));
+
+  using Change = std::function<void(sim::Snapshot&)>;
+  auto warp = [](sim::Snapshot& s) -> sim::WarpSnap& { return s.exec.warps[0]; };
+  auto sm = [&](sim::Snapshot& s) -> sim::SmSnap& {
+    return s.exec.sms[warp(s).sm];
+  };
+  const std::vector<std::pair<std::string, Change>> changes{
+      {"register bit", [&](sim::Snapshot& s) { warp(s).lanes[0].r[0] ^= 1u; }},
+      {"reg_ready", [&](sim::Snapshot& s) { warp(s).reg_ready[0] += 1; }},
+      {"pc", [&](sim::Snapshot& s) { warp(s).pc ^= 1u; }},
+      {"active", [&](sim::Snapshot& s) { warp(s).active ^= 1u; }},
+      {"stack",
+       [&](sim::Snapshot& s) {
+         warp(s).stack.push_back({sim::StackEntry::Kind::Ssy, 0, 0});
+       }},
+      {"next_try", [&](sim::Snapshot& s) { warp(s).next_try += 1; }},
+      {"rr", [&](sim::Snapshot& s) { sm(s).rr[0] += 1; }},
+      {"next_wake", [&](sim::Snapshot& s) { sm(s).next_wake += 1; }},
+      {"warps_at_barrier",
+       [](sim::Snapshot& s) { s.exec.blocks[0].warps_at_barrier += 1; }},
+      {"shared byte",
+       [](sim::Snapshot& s) { s.exec.blocks[0].shared.flip_bit(0); }},
+      {"global byte", [](sim::Snapshot& s) { s.memory[0] ^= 1u; }},
+      {"cycle", [](sim::Snapshot& s) { s.exec.cycle += 1; }},
+      {"prior cycles", [](sim::Snapshot& s) { s.prior.cycles += 1; }},
+  };
+  obs::Counter& dropped =
+      obs::Registry::global().counter("gpurel_campaign_dropped_trials_total");
+  for (const auto& [what, change] : changes) {
+    sim::Snapshot mark = snaps[1];
+    change(mark);
+    const std::uint64_t before = dropped.value();
+    EXPECT_FALSE(stops(mark)) << what;
+    EXPECT_EQ(dropped.value(), before) << what;
+  }
+}
+
+TEST(ForkEquivalence, ReconvergedTrialsStopAtAGoldenMark) {
+  // An RF flip into a register that is overwritten before it is read leaves
+  // the trial back on the fault-free run, and it stops at the next snapshot
+  // its state equals. That changes no outcome or trial cycle count, drops
+  // the same trials at any worker count, and never happens without a
+  // snapshot set or under the propagation tracker, which claims after_exec
+  // throughout.
+  auto inj = make_injector("SASSIFI");
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
+                          0x5eed, 0.05};
+  auto factory = [&] {
+    return std::make_unique<MxM>(wc, Precision::Single, 16);
+  };
+  InjectionBudget budget;
+  budget.injections_per_kind = 2;
+  budget.rf_injections = 24;
+  obs::Counter& dropped =
+      obs::Registry::global().counter("gpurel_campaign_dropped_trials_total");
+  auto counted = [&](auto&& campaign, std::uint64_t& drops) {
+    const std::uint64_t before = dropped.value();
+    auto out = campaign();
+    drops = dropped.value() - before;
+    return out;
+  };
+
+  std::uint64_t plain = 0, one = 0, four = 0;
+  const RunOut base =
+      counted([&] { return run(*inj, factory, budget, 1, 0); }, plain);
+  expect_same_trials(
+      base, counted([&] { return run(*inj, factory, budget, 1, 4); }, one));
+  expect_same_trials(
+      base, counted([&] { return run(*inj, factory, budget, 4, 4); }, four));
+  EXPECT_EQ(plain, 0u);
+  EXPECT_GT(one, 0u);
+  EXPECT_EQ(four, one);
+
+  auto records = [&](unsigned epochs) {
+    CampaignConfig cc;
+    cc.budget() = budget;
+    cc.seed = 0xf0f0;
+    cc.fork_epochs = epochs;
+    cc.propagation = true;
+    std::vector<obs::PropagationRecord> recs;
+    cc.propagation_records_out = &recs;
+    run_campaign(*inj, factory, cc);
+    std::vector<std::string> dumps;
+    for (const obs::PropagationRecord& r : recs) dumps.push_back(r.to_json().dump());
+    return dumps;
+  };
+  std::uint64_t traced = 0;
+  const std::vector<std::string> want = records(0);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(counted([&] { return records(4); }, traced), want);
+  EXPECT_EQ(traced, 0u);
 }
 
 /// A fork-safe single-launch workload: one block of kWarps warps running a

@@ -10,6 +10,7 @@
 
 #include "kernels/registry.hpp"
 #include "profile/profiler.hpp"
+#include "sim/instr_info.hpp"
 
 namespace gpurel::kernels {
 namespace {
@@ -119,6 +120,59 @@ TEST_P(EveryWorkload, SeedChangesInputsButStaysMasked) {
 
 INSTANTIATE_TEST_SUITE_P(Catalog, EveryWorkload, ::testing::ValuesIn(all_cases()),
                          case_name);
+
+TEST(EveryProgram, OperandsStayBelowRegsPerThread) {
+  // No instruction names a register at or above its program's
+  // regs_per_thread, operand widths included. The fork layer's reconvergence
+  // drop skips those registers and their scoreboard entries when it compares
+  // a trial with a snapshot, and RF injection samples registers below the
+  // workload's maximum, so both rest on this.
+  const std::vector<CatalogEntry> device_stepped{
+      {"BFS-DEV", core::Precision::Int32},
+      {"CCL-DEV", core::Precision::Int32},
+      {"QUICKSORT-DEV", core::Precision::Int32}};
+  std::vector<std::pair<CatalogEntry, arch::GpuConfig>> cases;
+  for (const auto& catalog : {kepler_app_catalog(), kepler_micro_catalog(),
+                              device_stepped})
+    for (const CatalogEntry& e : catalog)
+      cases.push_back({e, arch::GpuConfig::kepler_k40c(2)});
+  for (const auto& catalog : {volta_app_catalog(), volta_micro_catalog(),
+                              device_stepped})
+    for (const CatalogEntry& e : catalog)
+      cases.push_back({e, arch::GpuConfig::volta_v100(2)});
+
+  std::size_t programs = 0;
+  for (const auto& [entry, gpu] : cases) {
+    for (const auto prof :
+         {isa::CompilerProfile::Cuda7, isa::CompilerProfile::Cuda10}) {
+      auto w = make_workload(entry.base, entry.precision,
+                             {gpu, prof, 0x5eed, 0.05});
+      sim::Device dev(gpu);
+      w->prepare(dev);
+      for (const isa::Program* p : w->programs()) {
+        ++programs;
+        const unsigned regs = p->regs_per_thread();
+        for (std::uint32_t pc = 0; pc < p->size(); ++pc) {
+          const isa::Instr& in = p->at(pc);
+          const std::string where = w->name() + " on " + gpu.name + " " +
+                                    std::string(compiler_profile_name(prof)) +
+                                    ", " + p->name() + " pc " +
+                                    std::to_string(pc);
+          if (isa::writes_gpr(in.op) && in.dst != isa::kRZ) {
+            EXPECT_LE(in.dst + sim::dst_reg_width(in), regs) << where;
+          }
+          for (unsigned slot = 0; slot < 3; ++slot) {
+            if (sim::src_slot_used(in, slot)) {
+              EXPECT_LE(in.src[slot] + sim::src_reg_width(in, slot), regs)
+                  << where << " src " << slot;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(programs, 0u);
+}
 
 }  // namespace
 }  // namespace gpurel::kernels
