@@ -195,6 +195,38 @@ print("fork-equivalence smoke OK: forked results byte-identical, "
       "one shared snapshot capture and one reference trial across 2 workers, "
       f"{dropped:g} dropped trial(s), 8 epochs by default")
 EOF
+# Beams fork too: a fork-safe code with ECC off (most strikes reach the
+# simulator) captures one snapshot set and resumes runs from it. The result
+# document is the same at 1 and 4 workers, and the beam counts its snapshots
+# and forked runs in its own counters, none in the campaign ones.
+"${JOBS_BIN}" plan --kind=beam --arch=kepler --code=MXM --precision=single \
+  --ecc=false --runs=48 --seed=13 --scale=0.05 \
+  --out="${JOB_DIR}/beam" >/dev/null
+for workers in 1 4; do
+  "${JOBS_BIN}" run --spec="${JOB_DIR}/beam.shard0of1.json" \
+    --workers="${workers}" --out="${JOB_DIR}/beam.w${workers}.out.json" \
+    --metrics-out="${JOB_DIR}/beam.w${workers}.metrics.json" >/dev/null
+done
+cmp "${JOB_DIR}/beam.w1.out.json" "${JOB_DIR}/beam.w4.out.json"
+python3 - "${JOB_DIR}" <<'EOF'
+import json, sys
+d = sys.argv[1]
+for workers in (1, 4):
+    metrics = json.load(open(f"{d}/beam.w{workers}.metrics.json"))["metrics"]
+    def total(name):
+        return sum(m["value"] for m in metrics if m["name"] == name)
+    snaps = total("gpurel_beam_snapshots_total")
+    forked = total("gpurel_beam_forked_runs_total")
+    assert snaps >= 1, f"{workers} workers: expected beam snapshots, got {snaps}"
+    assert forked >= 1, f"{workers} workers: expected forked runs, got {forked}"
+    for name in ("gpurel_campaign_snapshots_total",
+                 "gpurel_campaign_dropped_trials_total",
+                 "gpurel_campaign_dropped_cycles_total"):
+        assert total(name) == 0, f"beam run counted {name}: {total(name)}"
+    print(f"beam fork smoke OK at {workers} worker(s): {snaps:g} snapshots, "
+          f"{forked:g} forked runs, "
+          f"{total('gpurel_beam_dropped_runs_total'):g} dropped")
+EOF
 
 echo "==> propagation smoke (provenance JSONL + outcome-identical to plain)"
 # The same campaign planned plain and with the propagation flight recorder:
@@ -281,27 +313,29 @@ echo "==> ThreadSanitizer quick leg (thread pool + campaign determinism + fork)"
 # Always-on subset of the full tsan preset: the tests that exercise the
 # worker pool, the cross-worker bit-identity contract, the shared snapshot
 # pool (read-only snapshot set + per-worker delta restores and reconvergence
-# drops across workers), and the multi-worker MicroArch campaigns (machine-state strikes from
-# worker threads). The preset's ctest filter covers more binaries; build and
-# run just these four here.
+# drops across workers, for campaigns and for beams), and the multi-worker
+# MicroArch campaigns (machine-state strikes from worker threads). The
+# preset's ctest filter covers more binaries; build and run just these four
+# here.
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}" --target \
   test_thread_pool test_determinism test_fork_equivalence test_microarch
 ctest --test-dir build-tsan -R '^test_(thread_pool|determinism|fork_equivalence|microarch)$' \
   -j "${JOBS}" --output-on-failure
 
-echo "==> UBSan quick leg (executor arithmetic + serializers)"
+echo "==> UBSan quick leg (executor arithmetic + serializers + snapshots)"
 # Always-on subset of the full ubsan preset: the RNG/JSON/fault/executor and
 # arithmetic-fuzz tests, where conversion and float-divide UB would corrupt
 # results silently, and the sched goldens, which drive every registered
-# workload through both lane drivers. -fno-sanitize-recover turns any hit
-# into a test failure.
+# workload through both lane drivers; and the snapshot restores campaigns
+# and beams fork from (test_fork_equivalence, test_beam, test_memory).
+# -fno-sanitize-recover turns any hit into a test failure.
 cmake --preset ubsan
 cmake --build --preset ubsan -j "${JOBS}" --target \
   test_rng test_json test_fault test_executor test_fuzz_arith \
-  test_sched_equivalence
+  test_sched_equivalence test_fork_equivalence test_beam test_memory
 ctest --test-dir build-ubsan \
-  -R '^test_(rng|json|fault|executor|fuzz_arith|sched_equivalence)$' \
+  -R '^test_(rng|json|fault|executor|fuzz_arith|sched_equivalence|fork_equivalence|beam|memory)$' \
   -j "${JOBS}" --output-on-failure
 
 echo "==> Release perfbench smoke (pinned digests + BENCHMARK.json catalogue)"
@@ -335,7 +369,8 @@ if [[ "${1:-}" == "ubsan" ]]; then
   cmake --preset ubsan
   cmake --build --preset ubsan -j "${JOBS}" --target \
     test_rng test_json test_fault test_executor test_fuzz_arith \
-    test_fuzz_control test_isa_semantics test_sched_equivalence
+    test_fuzz_control test_isa_semantics test_sched_equivalence \
+    test_fork_equivalence test_beam test_memory
   ctest --preset ubsan -j "${JOBS}"
 fi
 

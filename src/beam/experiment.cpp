@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "common/thread_pool.hpp"
+#include "core/fork.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/instr_info.hpp"
@@ -89,6 +90,26 @@ struct StrikePlan {
   bool hidden_sdc = false;        // Hidden: corrupt state (else handled outside)
 };
 
+/// Simulated-time state a beam run accumulates: the warp- and block-cycle
+/// integrals register-file and shared-memory strikes are placed along, and
+/// the cycles of the trial's finished launches. BeamObserver and the fork
+/// capture pass (BeamCaptureObserver) both advance it through these two
+/// members, fed by the same executor calls in the same order, so a forked
+/// run preset with the capture pass's value at its snapshot holds the plain
+/// run's doubles there bit for bit.
+struct BeamClock {
+  double warp = 0.0;
+  double block = 0.0;
+  std::uint64_t cycle_offset = 0;
+
+  void advance(std::uint64_t from, std::uint64_t to, const sim::Machine& m) {
+    const double delta = static_cast<double>(to - from);
+    warp += delta * static_cast<double>(m.live_warp_count());
+    block += delta * static_cast<double>(m.live_block_count());
+  }
+  void end_launch(const sim::LaunchStats& st) { cycle_offset += st.cycles; }
+};
+
 /// Applies planned strikes during a trial.
 ///
 /// Claims are scoped to the strikes still to come. An unfired
@@ -105,6 +126,14 @@ class BeamObserver final : public sim::SimObserver {
   BeamObserver(std::vector<StrikePlan> plans, unsigned max_regs)
       : plans_(std::move(plans)), max_regs_(std::max(1u, max_regs)) {}
 
+  /// A forked run starts at a snapshot of the fault-free run: preset the
+  /// per-unit lane counts and the clock the plain run would hold there.
+  void preset(const std::array<std::uint64_t, kKinds>& fu_counts,
+              const BeamClock& clock) {
+    fu_counts_ = fu_counts;
+    clock_ = clock;
+  }
+
   unsigned wants() const override {
     unsigned w =
         restore_pending_ || pending_plan_ >= 0 ? kWantsAfterExec : 0u;
@@ -118,7 +147,7 @@ class BeamObserver final : public sim::SimObserver {
   }
 
   void on_launch_end(const sim::LaunchStats& st) override {
-    cycle_offset_ += st.cycles;
+    clock_.end_launch(st);
   }
 
   // Lane-execution counting happens in before_exec (which the executor calls
@@ -178,13 +207,11 @@ class BeamObserver final : public sim::SimObserver {
 
   void on_time_advance(std::uint64_t from, std::uint64_t to,
                        sim::Machine& m) override {
-    const double delta = static_cast<double>(to - from);
-    const double warp_before = warp_integral_;
-    const double block_before = block_integral_;
-    warp_integral_ += delta * static_cast<double>(m.live_warp_count());
-    block_integral_ += delta * static_cast<double>(m.live_block_count());
-    const std::uint64_t cyc_before = cycle_offset_ + from;
-    const std::uint64_t cyc_after = cycle_offset_ + to;
+    const double warp_before = clock_.warp;
+    const double block_before = clock_.block;
+    clock_.advance(from, to, m);
+    const std::uint64_t cyc_before = clock_.cycle_offset + from;
+    const std::uint64_t cyc_after = clock_.cycle_offset + to;
 
     for (std::size_t i = 0; i < plans_.size(); ++i) {
       if (fired_[i]) continue;
@@ -192,7 +219,7 @@ class BeamObserver final : public sim::SimObserver {
       Rng rng(p.rand);
       switch (p.target) {
         case StrikeTarget::RegisterFile: {
-          if (!(p.warp_pos >= warp_before && p.warp_pos < warp_integral_)) break;
+          if (!(p.warp_pos >= warp_before && p.warp_pos < clock_.warp)) break;
           if (m.live_warp_count() == 0) break;
           const auto w = rng.uniform_u64(m.live_warp_count());
           const auto lane = static_cast<unsigned>(rng.uniform_u64(32));
@@ -205,7 +232,7 @@ class BeamObserver final : public sim::SimObserver {
           break;
         }
         case StrikeTarget::SharedMem: {
-          if (!(p.block_pos >= block_before && p.block_pos < block_integral_)) break;
+          if (!(p.block_pos >= block_before && p.block_pos < clock_.block)) break;
           if (m.live_block_count() == 0) break;
           auto& sh = m.live_block_shared(rng.uniform_u64(m.live_block_count()));
           if (sh.bits() == 0) break;
@@ -274,9 +301,7 @@ class BeamObserver final : public sim::SimObserver {
   std::vector<bool> fired_ = std::vector<bool>(plans_.size(), false);
   unsigned max_regs_;
   std::array<std::uint64_t, kKinds> fu_counts_{};
-  double warp_integral_ = 0.0;
-  double block_integral_ = 0.0;
-  std::uint64_t cycle_offset_ = 0;
+  BeamClock clock_;
   // Operand save/restore for address/store-data strikes.
   bool restore_pending_ = false;
   std::uint8_t saved_reg_ = 0;
@@ -286,6 +311,61 @@ class BeamObserver final : public sim::SimObserver {
   std::ptrdiff_t pending_plan_ = -1;
   sim::ThreadRegs* pending_regs_ = nullptr;
   std::uint32_t pending_pc_ = 0;
+};
+
+/// The fork capture pass's observer: records the BeamClock at every
+/// snapshot. It claims only time advance, so the pass runs on the hook-free
+/// lane driver.
+class BeamCaptureObserver final : public sim::SimObserver {
+ public:
+  unsigned wants() const override { return kWantsTimeAdvance; }
+  void on_launch_end(const sim::LaunchStats& st) override {
+    clock_.end_launch(st);
+  }
+  void on_time_advance(std::uint64_t from, std::uint64_t to,
+                       sim::Machine& m) override {
+    clock_.advance(from, to, m);
+  }
+  void on_capture() override { at_capture.push_back(clock_); }
+
+  std::vector<BeamClock> at_capture;  // one per snapshot, in capture order
+
+ private:
+  BeamClock clock_;
+};
+
+/// The lane executions of each unit kind the fault-free run had made at
+/// snapshot `s`: the launches before it plus the one in flight.
+std::array<std::uint64_t, kKinds> lanes_at(const sim::Snapshot& s) {
+  std::array<std::uint64_t, kKinds> n{};
+  for (std::size_t k = 0; k < kKinds; ++k)
+    n[k] = s.prior.lane_per_unit[k] + s.exec.stats.lane_per_unit[k];
+  return n;
+}
+
+/// Whether strike `p` fires after snapshot `s`, at which the capture pass's
+/// clock read `c`: an FU strike whose unit had run at most `index` lanes, an
+/// RF or shared-memory strike whose integral had reached at most its
+/// position, a global-memory or hidden strike whose cycle the snapshot's
+/// absolute cycle had reached at most. Time windows are [from, to), so a
+/// strike placed exactly on the boundary fires in the resumed suffix.
+bool fires_after(const StrikePlan& p, const sim::Snapshot& s,
+                 const BeamClock& c) {
+  switch (p.target) {
+    case StrikeTarget::FunctionalUnit:
+      return lanes_at(s)[static_cast<std::size_t>(p.unit)] <= p.index;
+    case StrikeTarget::RegisterFile: return c.warp <= p.warp_pos;
+    case StrikeTarget::SharedMem: return c.block <= p.block_pos;
+    default: return s.prior.cycles + s.exec.cycle <= p.cycle_pos;
+  }
+}
+
+/// One owned run, sampled before anything simulates: the strikes that reach
+/// the simulator, or none when the run resolves when sampled.
+struct RunPlan {
+  std::vector<StrikePlan> strikes;
+  core::Outcome outcome = core::Outcome::Masked;  // when `strikes` is empty
+  std::uint8_t target = kTargets;  // accelerated mode: the strike's target
 };
 
 struct Weights {
@@ -386,6 +466,8 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
   auto& metrics = obs::Registry::global();
   obs::Counter& m_runs = metrics.counter("gpurel_beam_runs_total");
   obs::Counter& m_simulated = metrics.counter("gpurel_beam_simulated_runs_total");
+  obs::Counter& m_forked = metrics.counter("gpurel_beam_forked_runs_total");
+  obs::Counter& m_dropped = metrics.counter("gpurel_beam_dropped_runs_total");
   obs::Histogram& m_latency = metrics.histogram("gpurel_beam_run_latency_ms");
   telemetry::Timer wall;
   const unsigned workers = std::max(1u, config.workers);
@@ -466,58 +548,100 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
     return s;
   };
 
-  // Per-run seeds derived once by index: runs replay bit-identically
-  // regardless of which worker executes them, in any order.
-  std::vector<std::uint64_t> seeds(config.runs);
+  // Every owned run is sampled up front from its own seed, derived by index:
+  // runs replay bit-identically regardless of which worker executes them, in
+  // any order, and the fork planner below sees every strike.
+  std::vector<RunPlan> runs(config.runs);
+  std::uint64_t simulated = 0;
   {
     std::uint64_t salt = config.seed;
+    std::vector<std::uint64_t> seeds(config.runs);
     for (auto& sd : seeds) sd = splitmix64(salt);
+    for (const std::size_t r : owned) {
+      Rng rng(seeds[r]);
+      RunPlan& run = runs[r];
+      if (config.mode == BeamMode::Accelerated) {
+        const Sampled s = sample_strike(rng);
+        run.target = static_cast<std::uint8_t>(s.plan.target);
+        if (s.immediate)
+          run.outcome = s.immediate_outcome;
+        else
+          run.strikes.push_back(s.plan);
+      } else {
+        // Natural flux: Poisson number of strikes this run. All of them are
+        // drawn, so the draw sequence never depends on how one resolves.
+        const double lambda = config.flux_scale * total_weight;
+        const std::uint64_t n = rng.poisson(lambda);
+        bool immediate_due = false;
+        for (std::uint64_t i = 0; i < n; ++i) {
+          const Sampled s = sample_strike(rng);
+          if (!s.immediate)
+            run.strikes.push_back(s.plan);
+          else if (s.immediate_outcome == core::Outcome::Due)
+            immediate_due = true;
+        }
+        if (immediate_due) {
+          run.outcome = core::Outcome::Due;
+          run.strikes.clear();
+        }
+      }
+      if (!run.strikes.empty()) ++simulated;
+    }
+  }
+
+  // Fork planning (core/fork.hpp): one fault-free capture pass on the
+  // reference instance records the snapshot set and the clock at each
+  // snapshot; a simulated run resumes from the deepest snapshot after which
+  // all of its strikes fire. Every simulated run gets the set as drop marks.
+  core::ForkSet fork;
+  std::vector<BeamClock> clocks;
+  {
+    BeamCaptureObserver capture;
+    const unsigned epochs =
+        core::fork_epoch_cap(*ref.w, core::kDefaultForkEpochs, simulated);
+    if (fork.capture(ref, epochs, &capture)) {
+      clocks = std::move(capture.at_capture);
+      fork.epoch.assign(config.runs, -1);
+      for (const std::size_t r : owned) {
+        const std::vector<StrikePlan>& strikes = runs[r].strikes;
+        if (strikes.empty()) continue;
+        fork.epoch[r] =
+            core::deepest_epoch(fork.snaps.size(), [&](std::size_t i) {
+              return std::all_of(
+                  strikes.begin(), strikes.end(), [&](const StrikePlan& p) {
+                    return fires_after(p, fork.snaps[i], clocks[i]);
+                  });
+            });
+      }
+      metrics.counter("gpurel_beam_snapshots_total").add(fork.snaps.size());
+    }
   }
 
   // Per-run records, tallied serially afterwards (bit-identical results for
   // any worker count).
   std::vector<core::Outcome> outcomes(config.runs, core::Outcome::Masked);
-  std::vector<std::uint8_t> run_target(config.runs,
-                                       static_cast<std::uint8_t>(kTargets));
+  telemetry::Counter forked, dropped;
 
   auto run_one = [&](core::Instance& inst, std::size_t r) {
     const telemetry::Timer run_wall;
-    Rng rng(seeds[r]);
-    if (config.mode == BeamMode::Accelerated) {
-      Sampled s = sample_strike(rng);
-      core::Outcome outcome;
-      if (s.immediate) {
-        outcome = s.immediate_outcome;
-      } else {
-        BeamObserver obs({s.plan}, max_regs);
-        outcome = inst.w->run_trial(*inst.dev, &obs).outcome;
-        m_simulated.add();
+    const RunPlan& run = runs[r];
+    outcomes[r] = run.outcome;
+    if (!run.strikes.empty()) {
+      BeamObserver obs(run.strikes, max_regs);
+      const int epoch = fork.epoch_of(r);
+      if (epoch >= 0) {
+        const auto e = static_cast<std::size_t>(epoch);
+        obs.preset(lanes_at(fork.snaps[e]), clocks[e]);
+        forked.add();
+        m_forked.add();
       }
-      outcomes[r] = outcome;
-      run_target[r] = static_cast<std::uint8_t>(s.plan.target);
-    } else {
-      // Natural flux: Poisson number of strikes this run.
-      const double lambda = config.flux_scale * total_weight;
-      const std::uint64_t n = rng.poisson(lambda);
-      std::vector<StrikePlan> plans;
-      bool immediate_due = false;
-      for (std::uint64_t i = 0; i < n; ++i) {
-        Sampled s = sample_strike(rng);
-        if (s.immediate) {
-          if (s.immediate_outcome == core::Outcome::Due) immediate_due = true;
-        } else {
-          plans.push_back(s.plan);
-        }
+      const core::TrialResult tr = fork.run(inst, epoch, &obs);
+      outcomes[r] = tr.outcome;
+      if (tr.dropped) {
+        dropped.add();
+        m_dropped.add();
       }
-      core::Outcome outcome = core::Outcome::Masked;
-      if (immediate_due) {
-        outcome = core::Outcome::Due;
-      } else if (!plans.empty()) {
-        BeamObserver obs(std::move(plans), max_regs);
-        outcome = inst.w->run_trial(*inst.dev, &obs).outcome;
-        m_simulated.add();
-      }
-      outcomes[r] = outcome;
+      m_simulated.add();
     }
     m_latency.observe(run_wall.elapsed_ms());
     m_runs.add();
@@ -531,7 +655,8 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
   auto run_chunk = [&](core::Instance& inst, std::size_t worker,
                        std::size_t begin, std::size_t end) {
     const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-    for (std::size_t p = begin; p < end; ++p) run_one(inst, owned[p]);
+    for (const std::size_t p : fork.chunk_order(owned, begin, end))
+      run_one(inst, owned[p]);
     if (trace != nullptr) {
       trace->name_thread(obs::kWallPid, static_cast<int>(worker),
                          "worker " + std::to_string(worker));
@@ -554,10 +679,15 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
   const std::vector<core::Instance> instances = run_per_worker(
       workers, owned.size(), std::move(ref),
       [&] { return core::make_instance(factory, reference); }, run_chunk);
+  // High-water mark across beams in one process.
+  if (fork.forking())
+    fork.record_pool(metrics.gauge("gpurel_beam_snapshot_pool_bytes"),
+                     instances);
 
   for (const std::size_t r : owned) {
     result.outcomes.add(outcomes[r]);
-    if (run_target[r] < kTargets) result.by_target[run_target[r]].add(outcomes[r]);
+    if (runs[r].target < kTargets)
+      result.by_target[runs[r].target].add(outcomes[r]);
   }
 
   // Registry snapshot: beam outcomes by strike target.
@@ -600,6 +730,9 @@ BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& facto
                 {"due", result.outcomes.due},
                 {"fit_sdc", result.fit_sdc},
                 {"fit_due", result.fit_due},
+                {"snapshots", fork.snaps.size()},
+                {"forked", forked.value()},
+                {"dropped", dropped.value()},
                 {"wall_ms", ms},
                 {"runs_per_sec",
                  ms > 0 ? 1000.0 * static_cast<double>(result.runs) / ms

@@ -121,7 +121,11 @@ struct BeamResult {
   void merge(const BeamResult& other);
 };
 
-/// Run a beam experiment on a workload built by `factory`.
+/// Run a beam experiment on a workload built by `factory`. Every run's
+/// strikes are sampled first; when the workload is fork-safe and enough runs
+/// reach the simulator, the runs fork from one shared fault-free prefix and
+/// stop at a golden snapshot they match again (core/fork.hpp). The result is
+/// bit-identical to running every run from cycle 0.
 BeamResult run_beam(const CrossSectionDb& db, const core::WorkloadFactory& factory,
                     const BeamConfig& config);
 

@@ -380,15 +380,10 @@ TrialResult Workload::classify(sim::Device& dev, TrialRunner& runner) {
     // The trial rejoined the fault-free run at `at`, whose suffix it would
     // have replayed: Masked, with the golden stats. Device memory holds a
     // mid-run image, so verify() must not look at it.
-    static obs::Counter& m_dropped =
-        obs::Registry::global().counter("gpurel_campaign_dropped_trials_total");
-    static obs::Counter& m_dropped_cycles =
-        obs::Registry::global().counter("gpurel_campaign_dropped_cycles_total");
-    m_dropped.add();
-    m_dropped_cycles.add(golden_stats_.cycles -
-                         (at->prior.cycles + at->exec.cycle));
     result.stats = golden_stats_;
     result.dropped = true;
+    result.dropped_cycles =
+        golden_stats_.cycles - (at->prior.cycles + at->exec.cycle);
     return result;
   }
   result.stats = runner.stats();

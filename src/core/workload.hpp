@@ -67,6 +67,9 @@ struct TrialResult {
   /// The trial stopped at a golden snapshot its state matched (see
   /// Workload::run_trial): Masked, with the fault-free run's stats.
   bool dropped = false;
+  /// Golden cycles a dropped trial did not simulate: the golden run's
+  /// cycles minus the drop point. 0 unless dropped.
+  std::uint64_t dropped_cycles = 0;
 };
 
 class Workload;
@@ -203,9 +206,9 @@ class Workload {
   /// workload and inputs, the trial stops at the first of its marks where it
   /// has rejoined the fault-free run: the observer claims no hook and the
   /// simulated state equals the snapshot. It is then classified Masked with
-  /// the golden stats, and bumps gpurel_campaign_dropped_trials_total and
-  /// gpurel_campaign_dropped_cycles_total (the golden cycles it skipped). By
-  /// determinism the result is the one the whole trial would produce.
+  /// the golden stats and reports `dropped` and the golden cycles it
+  /// skipped; the calling layer counts drops. By determinism the result is
+  /// the one the whole trial would produce.
   TrialResult run_trial(sim::Device& dev, sim::SimObserver* obs = nullptr,
                         const std::vector<sim::Snapshot>* golden_snaps = nullptr);
 

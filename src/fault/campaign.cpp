@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "common/thread_pool.hpp"
+#include "core/fork.hpp"
 #include "fault/microarch.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -307,17 +308,19 @@ struct CampaignPlan {
   std::array<bool, kSiteClasses> zero_site{};
   std::vector<std::size_t> owned;  // this shard's trial ids
   std::size_t skip = 0;            // owned positions the resume covers
-  // Fork batching (all empty when the campaign runs plain): the shared
-  // snapshot set, captured once on the reference instance and only read by
-  // the workers, and the site counts the prefix consumed up to each one.
-  std::vector<sim::Snapshot> snaps;
+  // Fork batching (empty when the campaign runs plain): the snapshot set
+  // with each trial's epoch, and the site counts the prefix consumed up to
+  // each snapshot.
+  core::ForkSet fork;
   std::vector<SiteCounts> snap_sites;
-  std::vector<int> trial_epoch;  // by trial id; -1 = run from scratch
 
-  bool forking() const { return !trial_epoch.empty(); }
   /// Positions [0, todo()) are the owned trials this process executes.
   std::size_t todo() const { return owned.size() - skip; }
   std::size_t trial_at(std::size_t p) const { return owned[skip + p]; }
+  /// Trial ids by position.
+  std::span<const std::size_t> todo_ids() const {
+    return std::span(owned).subspan(skip);
+  }
 };
 
 TrialSample sample_trial(const CampaignPlan& plan, const TrialDesc& desc) {
@@ -345,30 +348,14 @@ TrialSample sample_trial(const CampaignPlan& plan, const TrialDesc& desc) {
   return s;
 }
 
-/// Up to `epochs` snapshot marks evenly spaced over the golden run's
-/// cumulative lane-instruction count (trials are bit-identical until their
-/// injection fires, so that prefix is shared).
-std::vector<std::uint64_t> fork_marks(std::uint64_t total, unsigned epochs) {
-  std::vector<std::uint64_t> marks;
-  for (unsigned i = 1; i <= epochs; ++i) {
-    const std::uint64_t m =
-        total / (epochs + 1) * i + total % (epochs + 1) * i / (epochs + 1);
-    if (m == 0 || m >= total) continue;
-    if (!marks.empty() && marks.back() == m) continue;
-    marks.push_back(m);
-  }
-  return marks;
-}
-
-/// Fork epochs this process captures: config.fork_epochs, capped at one per
-/// kTrialsPerForkEpoch trials it executes (0 = run plain). The trial list
+/// Fork epochs this process captures: config.fork_epochs under the shared
+/// cap (core::fork_epoch_cap) for the trials it executes. The trial list
 /// needs the site counts the capture pass itself produces, so the count is
 /// bounded from the budget instead: injections_per_kind trials for every
 /// kind the golden run executed, a stratum's budget for every reached
 /// class, this shard's share of them, less what a resume already covers.
 unsigned fork_epoch_count(const Injector& injector, const core::Workload& w,
                           const CampaignConfig& config) {
-  if (config.fork_epochs == 0 || !w.fork_safe()) return 0;
   std::uint64_t trials = 0;
   for (const std::uint64_t lanes : w.golden_stats().lane_per_unit)
     if (lanes > 0) trials += config.injections_per_kind;
@@ -380,8 +367,7 @@ unsigned fork_epoch_count(const Injector& injector, const core::Workload& w,
                            : 0;
   if (config.resume != nullptr)
     todo -= std::min<std::uint64_t>(todo, config.resume->trials_done);
-  return static_cast<unsigned>(std::min<std::uint64_t>(
-      config.fork_epochs, todo / kTrialsPerForkEpoch));
+  return core::fork_epoch_cap(w, config.fork_epochs, todo);
 }
 
 /// The trial list: stratified by instruction kind, then every other reached
@@ -422,23 +408,19 @@ void plan_trials(const Injector& injector, const CampaignConfig& config,
 /// before the fire cycle (advance windows are [from, to), so a fire exactly
 /// on the boundary still lands in the resumed suffix).
 void plan_fork_epochs(CampaignPlan& plan) {
-  plan.trial_epoch.assign(plan.trials.size(), -1);
-  const auto n = static_cast<int>(plan.snaps.size());
+  core::ForkSet& fork = plan.fork;
+  fork.epoch.assign(plan.trials.size(), -1);
   for (const std::size_t t : plan.owned) {
     const TrialDesc& d = plan.trials[t];
     if (plan.zero_site[static_cast<std::size_t>(d.cls)]) continue;
     const TrialSample s = sample_trial(plan, d);
-    auto fires_after = [&](int e) {
-      const auto i = static_cast<std::size_t>(e);
-      const sim::Snapshot& snap = plan.snaps[i];
+    fork.epoch[t] = core::deepest_epoch(fork.snaps.size(), [&](std::size_t i) {
+      const sim::Snapshot& snap = fork.snaps[i];
       return is_microarch(d.cls)
                  ? snap.prior.cycles + snap.exec.cycle <= s.fire_cycle
                  : class_sites(plan.snap_sites[i], d.cls, d.kind) <=
                        s.target_index;
-    };
-    int e = -1;
-    while (e + 1 < n && fires_after(e + 1)) ++e;
-    plan.trial_epoch[t] = e;
+    });
   }
 }
 
@@ -466,19 +448,15 @@ CampaignPlan plan_campaign(const Injector& injector, core::Instance& ref,
         "run_campaign: shard_index must be < shard_count (>= 1)");
 
   CampaignPlan plan;
-  const unsigned epochs = fork_epoch_count(injector, w, config);
-  const std::vector<std::uint64_t> marks =
-      epochs > 0 ? fork_marks(w.golden_stats().lane_instructions, epochs)
-                 : std::vector<std::uint64_t>{};
   // Site counts: one fault-free run. When forking it is also the capture
   // run, and the counter records the running counts at each snapshot.
-  if (marks.empty()) {
-    plan.site_counts = count_prepared(injector, w, *ref.dev);
-  } else {
-    CountingObserver counter(injector);
-    w.capture_prefix(*ref.dev, marks, plan.snaps, &counter);
+  CountingObserver counter(injector);
+  if (plan.fork.capture(ref, fork_epoch_count(injector, w, config),
+                        &counter)) {
     plan.site_counts = counter.sites;
     plan.snap_sites = std::move(counter.at_capture);
+  } else {
+    plan.site_counts = count_prepared(injector, w, *ref.dev);
   }
   plan.space = injector.enumerate_sites(w, w.config().gpu);
   plan.layout = microarch_layout(w, w.config().gpu);
@@ -504,7 +482,7 @@ CampaignPlan plan_campaign(const Injector& injector, core::Instance& ref,
           "checkpoint (the skipped prefix has no per-trial records)");
     plan.skip = static_cast<std::size_t>(config.resume->trials_done);
   }
-  if (!plan.snaps.empty()) plan_fork_epochs(plan);
+  if (!plan.fork.snaps.empty()) plan_fork_epochs(plan);
   return plan;
 }
 
@@ -591,6 +569,10 @@ struct TrialBody {
       "gpurel_campaign_trial_latency_ms");
   obs::Counter& m_restore_bytes = obs::Registry::global().counter(
       "gpurel_campaign_snapshot_restore_bytes_total");
+  obs::Counter& m_dropped = obs::Registry::global().counter(
+      "gpurel_campaign_dropped_trials_total");
+  obs::Counter& m_dropped_cycles = obs::Registry::global().counter(
+      "gpurel_campaign_dropped_cycles_total");
 
   void run(core::Instance& inst, std::size_t t) const;
 };
@@ -613,7 +595,7 @@ void TrialBody::run(core::Instance& inst, std::size_t t) const {
     return;
   }
   const TrialSample sample = sample_trial(plan, desc);
-  const int epoch = plan.forking() ? plan.trial_epoch[t] : -1;
+  const int epoch = plan.fork.epoch_of(t);
   const telemetry::Timer trial_wall;
 
   // The observer. A micro-architectural strike hits machine state, not an
@@ -651,27 +633,25 @@ void TrialBody::run(core::Instance& inst, std::size_t t) const {
   // cycle base) and the tracker's lane-instruction clock. Either way the
   // trial gets the snapshot set, and stops at the first later snapshot its
   // state matches once its observer claims no hook.
-  const std::vector<sim::Snapshot>* golden =
-      plan.forking() ? &plan.snaps : nullptr;
-  core::TrialResult r;
   if (epoch >= 0) {
     const auto e = static_cast<std::size_t>(epoch);
     if (march) {
-      march->preset_cycle_base(plan.snaps[e].prior.cycles);
+      march->preset_cycle_base(plan.fork.snaps[e].prior.cycles);
     } else {
       const SiteCounts& at = plan.snap_sites[e];
       inj.preset_counts(class_sites(at, desc.cls, desc.kind));
       if (propagation) prop.preset_lane_count(at.total_lane);
     }
-    r = inst.w->run_trial_forked(*inst.dev, plan.snaps[e], observer,
-                                 /*delta=*/true, golden);
-    m_restore_bytes.add(inst.w->last_restore_bytes());
-  } else {
-    r = inst.w->run_trial(*inst.dev, observer, golden);
   }
+  const core::TrialResult r = plan.fork.run(inst, epoch, observer);
+  if (epoch >= 0) m_restore_bytes.add(inst.w->last_restore_bytes());
   m_latency.observe(trial_wall.elapsed_ms());
   m_trials.add();
-  if (r.dropped) rec.dropped.add();
+  if (r.dropped) {
+    rec.dropped.add();
+    m_dropped.add();
+    m_dropped_cycles.add(r.dropped_cycles);
+  }
 
   // Record.
   rec.outcomes[t] = r.outcome;
@@ -734,38 +714,6 @@ class CheckpointFrontier {
   std::size_t frontier_ = 0;
   std::uint64_t emitted_at_;
 };
-
-/// Positions [begin, end) in execution order. Under forking they are
-/// grouped by fork epoch (stably, so same-epoch trials keep position order)
-/// so consecutive trials resume from a hot snapshot — the delta fast path
-/// only fires for back-to-back trials on the same snapshot. Per-trial
-/// seeding makes every outcome independent of execution order.
-std::vector<std::size_t> chunk_order(const CampaignPlan& plan,
-                                     std::size_t begin, std::size_t end) {
-  std::vector<std::size_t> ps(end - begin);
-  std::iota(ps.begin(), ps.end(), begin);
-  if (plan.forking())
-    std::stable_sort(ps.begin(), ps.end(), [&](std::size_t a, std::size_t b) {
-      return plan.trial_epoch[plan.trial_at(a)] <
-             plan.trial_epoch[plan.trial_at(b)];
-    });
-  return ps;
-}
-
-/// Snapshot-pool footprint: the bytes retained for fork batching — the
-/// shared snapshot set (images plus executor state) and every worker's
-/// delta-tracking dirty scratch. set_max keeps the high-water mark across
-/// campaigns in one process.
-void record_pool_bytes(const CampaignPlan& plan,
-                       const std::vector<core::Instance>& instances) {
-  std::uint64_t pool_bytes = 0;
-  for (const sim::Snapshot& s : plan.snaps) pool_bytes += s.bytes();
-  for (const core::Instance& inst : instances)
-    if (inst.dev) pool_bytes += inst.dev->memory().dirty_scratch_bytes();
-  obs::Registry::global()
-      .gauge("gpurel_campaign_snapshot_pool_bytes")
-      .set_max(static_cast<double>(pool_bytes));
-}
 
 /// Registry snapshot of one campaign's outcomes and injection-site coverage
 /// (counters accumulate across campaigns in one process).
@@ -917,7 +865,7 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
                 {"shard_index", config.shard_index},
                 {"shard_count", config.shard_count},
                 {"resumed_trials", std::uint64_t{plan.skip}},
-                {"fork_epochs", plan.snaps.size()}});
+                {"fork_epochs", plan.fork.snaps.size()}});
     for (std::size_t c = 0; c < kSiteClasses; ++c)
       if (plan.zero_site[c])
         sink->emit("campaign_zero_site_mode",
@@ -927,21 +875,22 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
                     {"resolution", "masked"}});
   }
 
-  if (plan.forking()) {
+  if (plan.fork.forking()) {
     obs::Registry::global().counter("gpurel_campaign_snapshots_total")
-        .add(plan.snaps.size());
+        .add(plan.fork.snaps.size());
     // One capture pass = one event; the ci.sh fork leg asserts exactly one
     // per campaign regardless of worker count.
     if (sink != nullptr) {
       std::uint64_t image_bytes = 0, bytes = 0;
-      for (const sim::Snapshot& s : plan.snaps) {
+      for (const sim::Snapshot& s : plan.fork.snaps) {
         image_bytes += s.memory.size();
         bytes += s.bytes();
       }
-      sink->emit("campaign_snapshot_capture", {{"workload", header.workload},
-                                               {"epochs", plan.snaps.size()},
-                                               {"image_bytes", image_bytes},
-                                               {"bytes", bytes}});
+      sink->emit("campaign_snapshot_capture",
+                 {{"workload", header.workload},
+                  {"epochs", plan.fork.snaps.size()},
+                  {"image_bytes", image_bytes},
+                  {"bytes", bytes}});
     }
   }
 
@@ -960,7 +909,8 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
   auto run_chunk = [&](core::Instance& inst, std::size_t worker,
                        std::size_t begin, std::size_t end) {
     const double t0 = trace != nullptr ? trace->now_us() : 0.0;
-    for (const std::size_t p : chunk_order(plan, begin, end))
+    for (const std::size_t p :
+         plan.fork.chunk_order(plan.todo_ids(), begin, end))
       body.run(inst, plan.trial_at(p));
     if (trace != nullptr) {
       trace->name_thread(obs::kWallPid, static_cast<int>(worker),
@@ -985,7 +935,11 @@ CampaignResult run_campaign(const Injector& injector, const WorkloadFactory& fac
       workers, todo, std::move(ref),
       [&] { return core::make_instance(factory, reference); }, run_chunk);
 
-  if (plan.forking()) record_pool_bytes(plan, instances);
+  // High-water mark across campaigns in one process.
+  if (plan.fork.forking())
+    plan.fork.record_pool(
+        obs::Registry::global().gauge("gpurel_campaign_snapshot_pool_bytes"),
+        instances);
 
   // Tally step, serially in trial order; a resumed prefix contributes
   // through its checkpoint tallies (integer sums, so the combined result is

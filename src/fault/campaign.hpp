@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "core/fork.hpp"
 #include "core/workload.hpp"
 #include "fault/budget.hpp"
 #include "fault/injector.hpp"
@@ -206,13 +207,11 @@ struct CampaignCheckpoint {
   CampaignResult partial;
 };
 
-/// Default checkpoint-fork epoch count for every campaign (see
-/// CampaignConfig::fork_epochs and job::RunOptions::fork_epochs).
-inline constexpr unsigned kDefaultForkEpochs = 8;
-/// A snapshot pays for its capture and full restores only when several
-/// trials resume from it: a campaign captures at most one epoch per this
-/// many trials it executes, and runs plain below that.
-inline constexpr unsigned kTrialsPerForkEpoch = 4;
+/// The fork constants campaigns share with beams (core/fork.hpp): the
+/// default epoch count, and the cap of one epoch per kTrialsPerForkEpoch
+/// trials this process executes.
+using core::kDefaultForkEpochs;
+using core::kTrialsPerForkEpoch;
 
 struct CampaignConfig : InjectionBudget, obs::RunContext {
   std::uint64_t seed = 0x1234;

@@ -296,6 +296,16 @@ const char* metric_help(const std::string& name) {
       {"gpurel_beam_simulated_runs_total",
        "Beam runs that reached the simulator (the rest resolve when their "
        "strike is sampled)"},
+      {"gpurel_beam_snapshots_total",
+       "Fork-prefix snapshots captured for beam experiments"},
+      {"gpurel_beam_forked_runs_total",
+       "Simulated beam runs resumed from a fork snapshot instead of cycle 0"},
+      {"gpurel_beam_dropped_runs_total",
+       "Beam runs stopped early at a fork snapshot their state matched again "
+       "(classified Masked)"},
+      {"gpurel_beam_snapshot_pool_bytes",
+       "Bytes retained for beam fork batching: the snapshot set plus "
+       "per-worker dirty-tracking scratch"},
       {"gpurel_beam_run_latency_ms", "Wall-clock latency of one beam run"},
       {"gpurel_beam_outcomes_total", "Beam run outcomes by strike target"},
       {"gpurel_reference_trials_total",

@@ -168,11 +168,23 @@ WarpRt* Executor::acquire_warp() {
   w->stack.clear();
   w->exited = false;
   w->at_barrier = false;
-  w->reg_ready.fill(0);
+  // Clear the registers the program can name, their scoreboard entries and
+  // the predicates, so an uninitialized read sees zero. No instruction names
+  // a register at or above regs_per_thread, so a reused slot's older values
+  // there are never read; snapshots keep the same range.
+  const unsigned regs = program_regs();
+  std::fill_n(w->reg_ready.begin(), regs, 0);
   w->pred_ready.fill(0);
-  w->lanes.fill(ThreadRegs{});
+  for (ThreadRegs& lane : w->lanes) {
+    std::fill_n(lane.r.begin(), regs, 0u);
+    lane.preds = 0;
+  }
   w->dirty = true;
   return w;
+}
+
+unsigned Executor::program_regs() const {
+  return std::min<unsigned>(launch_->program->regs_per_thread(), 256);
 }
 
 Snapshot Executor::make_snapshot(std::uint64_t cycle,
@@ -183,6 +195,7 @@ Snapshot Executor::make_snapshot(std::uint64_t cycle,
   snap.memory = global_.save_allocated();
   ExecutorSnapshot& e = snap.exec;
   e.cycle = cycle;
+  e.regs = program_regs();
   e.stats = stats_;
   e.next_block = next_block_;
   e.total_blocks = total_blocks_;
@@ -228,9 +241,15 @@ Snapshot Executor::make_snapshot(std::uint64_t cycle,
         ws.exited = w->exited;
         ws.at_barrier = w->at_barrier;
         ws.next_try = w->next_try;
-        ws.reg_ready = w->reg_ready;
         ws.pred_ready = w->pred_ready;
-        ws.lanes = w->lanes;
+        ws.reg_ready.assign(w->reg_ready.begin(),
+                            w->reg_ready.begin() + e.regs);
+        ws.regs.resize(std::size_t{32} * e.regs);
+        for (unsigned l = 0; l < 32; ++l) {
+          ws.preds[l] = w->lanes[l].preds;
+          std::copy_n(w->lanes[l].r.begin(), e.regs,
+                      ws.regs.begin() + std::ptrdiff_t{l} * e.regs);
+        }
         e.warps.push_back(std::move(ws));
       }
     }
@@ -314,9 +333,13 @@ void Executor::restore_snapshot(const ExecutorSnapshot& snap, bool delta) {
     w->at_barrier = ws.at_barrier;
     w->next_try = ws.next_try;
     if (!delta || w->dirty) {
-      w->reg_ready = ws.reg_ready;
+      std::copy(ws.reg_ready.begin(), ws.reg_ready.end(), w->reg_ready.begin());
       w->pred_ready = ws.pred_ready;
-      w->lanes = ws.lanes;
+      for (unsigned l = 0; l < 32; ++l) {
+        w->lanes[l].preds = ws.preds[l];
+        std::copy_n(ws.regs.begin() + std::ptrdiff_t{l} * snap.regs, snap.regs,
+                    w->lanes[l].r.begin());
+      }
       w->dirty = false;  // slot now equals snapshot entity i
     }
   }
@@ -338,7 +361,8 @@ void Executor::restore_snapshot(const ExecutorSnapshot& snap, bool delta) {
 
 bool Executor::matches(const Snapshot& snap, std::uint64_t cycle) const {
   const ExecutorSnapshot& e = snap.exec;
-  if (cycle != e.cycle || next_block_ != e.next_block ||
+  if (cycle != e.cycle || e.regs != program_regs() ||
+      next_block_ != e.next_block ||
       total_blocks_ != e.total_blocks ||
       completed_blocks_ != e.completed_blocks ||
       next_warp_id_ != e.next_warp_id ||
@@ -400,11 +424,10 @@ bool Executor::matches(const Snapshot& snap, std::uint64_t cycle) const {
   }
   if (bi != e.blocks.size() || wi != e.warps.size()) return false;
 
-  // Then the arrays, registers last. Nothing reads a register or its
-  // scoreboard entry at or above regs_per_thread (tests/test_workloads_param
-  // pins this for every program), so those are skipped.
-  const std::size_t regs =
-      std::min<std::size_t>(launch_->program->regs_per_thread(), 256);
+  // Then the arrays, registers last: those the snapshot keeps, below
+  // regs_per_thread (tests/test_workloads_param pins that no program reads
+  // above it).
+  const std::size_t regs = e.regs;
   auto each = [&](auto&& block_eq, auto&& warp_eq) {
     std::size_t b = 0, w = 0;
     for (const SmState& s : sms_)
@@ -419,16 +442,17 @@ bool Executor::matches(const Snapshot& snap, std::uint64_t cycle) const {
     return b.shared == bs.shared;
   };
   const auto same_scoreboard = [&](const WarpRt& w, const WarpSnap& ws) {
-    return w.pred_ready == ws.pred_ready &&
-           std::equal(w.reg_ready.begin(), w.reg_ready.begin() + regs,
-                      ws.reg_ready.begin());
+    return w.pred_ready == ws.pred_ready && ws.reg_ready.size() == regs &&
+           std::equal(ws.reg_ready.begin(), ws.reg_ready.end(),
+                      w.reg_ready.begin());
   };
   const auto any_block = [](const BlockRt&, const BlockSnap&) { return true; };
   const auto same_registers = [&](const WarpRt& w, const WarpSnap& ws) {
+    if (ws.regs.size() != 32 * regs) return false;
     for (unsigned l = 0; l < 32; ++l)
-      if (w.lanes[l].preds != ws.lanes[l].preds ||
-          std::memcmp(w.lanes[l].r.data(), ws.lanes[l].r.data(),
-                      regs * sizeof(std::uint32_t)) != 0)
+      if (w.lanes[l].preds != ws.preds[l] ||
+          (regs > 0 && std::memcmp(w.lanes[l].r.data(), &ws.regs[l * regs],
+                                   regs * sizeof(std::uint32_t)) != 0))
         return false;
     return true;
   };

@@ -113,7 +113,13 @@ class Executor final : public Machine {
   };
 
   BlockRt* acquire_block();
+  /// Takes the next pool slot and clears it for a fresh warp of the
+  /// current launch: registers and scoreboard entries below program_regs()
+  /// and every predicate.
   WarpRt* acquire_warp();
+  /// Registers per thread of the current launch's program: the range warps
+  /// clear on placement and snapshots keep.
+  unsigned program_regs() const;
   /// Snapshot the live executor + allocated global memory at end-of-cycle.
   Snapshot make_snapshot(std::uint64_t cycle, std::uint64_t lane_mark) const;
   /// Rebuild pools, SM lists, and counters from a snapshot (global memory is
@@ -130,8 +136,8 @@ class Executor final : public Machine {
   /// in place, in make_snapshot's order, with the entity of the same index)
   /// and the allocated global memory. Allocates nothing. Registers and
   /// scoreboard entries at or above the program's regs_per_thread, which no
-  /// instruction reads, and the LaunchStats accumulators, which no
-  /// scheduling decision reads, are not compared.
+  /// instruction reads and the snapshot does not keep, and the LaunchStats
+  /// accumulators, which no scheduling decision reads, are not compared.
   bool matches(const Snapshot& snap, std::uint64_t cycle) const;
   void refresh_wake(SmState& s);
   void place_block(unsigned sm, unsigned linear_block, std::uint64_t cycle);

@@ -68,7 +68,10 @@ void GlobalMemory::restore_allocated(std::uint32_t top,
     throw std::invalid_argument("GlobalMemory::restore_allocated: image does "
                                 "not match the allocation watermark");
   cover(top);
-  std::memcpy(&data_[kNullGuard], image.data(), image.size());
+  // An empty image (a workload that allocates nothing) may hold no buffer:
+  // memcpy from its null data() is undefined even for zero bytes.
+  if (!image.empty())
+    std::memcpy(&data_[kNullGuard], image.data(), image.size());
   // A lower watermark must leave zeros above it, as reset() would.
   if (top < top_) std::fill(data_.begin() + top, data_.begin() + top_, 0);
   top_ = top;

@@ -1,25 +1,28 @@
 // Device-state snapshots for checkpoint-fork trial batching.
 //
-// Fault-injection trials of one campaign are bit-identical until their
-// injection fires, so the fault-free prefix can be simulated once and every
-// trial forked from the saved state. A Snapshot captures everything a trial
-// resumed mid-launch needs: the allocated global-memory image, every resident
-// block's shared memory and warp state (registers, divergence stacks,
-// scoreboards), the per-SM scheduler state (warp order, round-robin cursors,
-// next_wake caches), and the in-progress LaunchStats accumulators. The PR-4
-// watermark pools make the copies cheap and bounded — only live blocks and
-// warps are captured; retired pool slots are never touched again.
+// The trials of one fault campaign, and the runs of one beam experiment,
+// are bit-identical until their fault fires, so the fault-free prefix can be
+// simulated once and every trial forked from the saved state (core/fork.hpp
+// holds the machinery both layers share). A Snapshot captures everything a
+// trial resumed mid-launch needs: the allocated global-memory image, every
+// resident block's shared memory and warp state (the registers the launch
+// program uses, predicates, divergence stacks, scoreboards), the per-SM
+// scheduler state (warp order, round-robin cursors, next_wake caches), and
+// the in-progress LaunchStats accumulators. The executor's watermark pools
+// keep the copies bounded: only live blocks and warps are captured, and
+// retired pool slots are never touched again.
 //
 // Snapshots are taken at the end of a simulated cycle, keyed by the
 // cumulative lane-instruction count of the trial (the issue-domain counter
 // stats_.lane_instructions accumulates). The executor reports each capture
 // to its observer (SimObserver::on_capture) right after appending the
-// snapshot, which is how the campaign layer's site-counting pass records
-// the per-class fault sites each prefix consumed while it captures — one
-// fault-free run, one boundary (see fault/campaign.cpp). The same set is the
-// fault-free reference every trial of the campaign is checked against at
-// those boundaries: a trial whose state equals a snapshot again stops there
-// (ForkIO's drop role).
+// snapshot. That is how a layer records its own running state at each
+// snapshot while it captures, in one fault-free run with one boundary: the
+// campaign's site-counting pass its per-class site counts
+// (fault/campaign.cpp), the beam's capture pass its time integrals
+// (beam/experiment.cpp). The same set is the fault-free reference every
+// trial is checked against at those boundaries: a trial whose state equals
+// a snapshot again stops there (ForkIO's drop role).
 #pragma once
 
 #include <array>
@@ -28,7 +31,6 @@
 
 #include "sim/launch.hpp"
 #include "sim/memory.hpp"
-#include "sim/registers.hpp"
 #include "sim/warp.hpp"
 
 namespace gpurel::sim {
@@ -36,6 +38,12 @@ namespace gpurel::sim {
 /// One resident warp, with its BlockRt pointer replaced by an index into
 /// ExecutorSnapshot::blocks. Exited warps of still-resident blocks are
 /// included: they stay in the SM's warp list until their block retires.
+/// Registers and their scoreboard entries are kept only below the launch
+/// program's regs_per_thread (ExecutorSnapshot::regs): no instruction names
+/// a register at or above it, operand widths included
+/// (EveryProgram.OperandsStayBelowRegsPerThread), and warps do not outlive
+/// their launch. Executor::acquire_warp clears the same range, so that is
+/// all the register state a warp's execution can read.
 struct WarpSnap {
   std::size_t block_index = 0;
   unsigned sm = 0;
@@ -48,9 +56,11 @@ struct WarpSnap {
   bool exited = false;
   bool at_barrier = false;
   std::uint64_t next_try = 0;
-  std::array<std::uint64_t, 256> reg_ready{};
   std::array<std::uint64_t, 8> pred_ready{};
-  std::array<ThreadRegs, 32> lanes;
+  std::array<std::uint8_t, 32> preds{};  // ThreadRegs::preds by lane
+  std::vector<std::uint64_t> reg_ready;  // registers [0, regs)
+  /// Lane-major: register r of lane l at regs[l * ExecutorSnapshot::regs + r].
+  std::vector<std::uint32_t> regs;
 };
 
 /// One resident block; `warps` indexes into ExecutorSnapshot::warps in the
@@ -80,6 +90,9 @@ struct SmSnap {
 /// Full executor state at the end of one simulated cycle of one launch.
 struct ExecutorSnapshot {
   std::uint64_t cycle = 0;
+  /// Registers per lane each WarpSnap keeps: the launch program's
+  /// regs_per_thread.
+  unsigned regs = 0;
   LaunchStats stats;  // in-progress accumulators (not finalized)
   std::vector<BlockSnap> blocks;
   std::vector<WarpSnap> warps;
@@ -108,12 +121,15 @@ struct Snapshot {
   ExecutorSnapshot exec;
 
   /// Bytes this snapshot retains: the memory image, every captured warp
-  /// (registers and scoreboards dominate, ~35 KB each) and every block's
-  /// shared memory.
+  /// (its fixed part and stack, plus 32 lanes x 4 bytes and one 8-byte
+  /// scoreboard entry per register the program uses: 4.6 KB per warp at 32
+  /// registers) and every block's shared memory.
   std::uint64_t bytes() const {
     std::uint64_t n = memory.size();
     for (const WarpSnap& w : exec.warps)
-      n += sizeof(WarpSnap) + w.stack.size() * sizeof(StackEntry);
+      n += sizeof(WarpSnap) + w.stack.size() * sizeof(StackEntry) +
+           w.reg_ready.size() * sizeof(std::uint64_t) +
+           w.regs.size() * sizeof(std::uint32_t);
     for (const BlockSnap& b : exec.blocks) n += b.shared.size();
     return n;
   }

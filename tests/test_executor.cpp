@@ -72,6 +72,34 @@ TEST(Executor, VectorAddSingleBlock) {
   EXPECT_GT(st.ipc, 0.0);
 }
 
+TEST(Executor, ReusedWarpSlotsReadZeroBelowRegsPerThread) {
+  // Warp pool slots are reused across launches, and a placed warp is cleared
+  // only below its program's regs_per_thread. An uninitialized read there
+  // must still see zero after a launch that wrote every register of the
+  // same slots.
+  Device dev(test_gpu());
+  KernelBuilder pb("poison", CompilerProfile::Cuda10);
+  for (unsigned r = 0; r < isa::kRZ; ++r) pb.movi(pb.reg(), -1);
+  const Program poison = pb.build();
+  ASSERT_EQ(dev.launch({&poison, {4, 1}, {64, 1}, 0, {}}).due, DueKind::None);
+
+  KernelBuilder b("reader", CompilerProfile::Cuda10);
+  Reg unset = b.reg();  // never written (taken first, so no helper reuses it)
+  Reg tid = b.global_tid_x();
+  Reg out = b.load_param(0);
+  Reg addr = b.reg();
+  b.addr_index(addr, out, tid, 4);
+  b.stg(addr, unset);
+  const Program reader = b.build();
+  ASSERT_LT(reader.regs_per_thread(), poison.regs_per_thread());
+  const unsigned n = 4 * 64;
+  const std::uint32_t po = dev.alloc(n * 4);
+  dev.copy_in<std::uint32_t>(po, std::vector<std::uint32_t>(n, 0xabcdu));
+  ASSERT_EQ(dev.launch({&reader, {4, 1}, {64, 1}, 0, {po}}).due, DueKind::None);
+  for (const std::uint32_t v : dev.copy_out<std::uint32_t>(po, n))
+    EXPECT_EQ(v, 0u);
+}
+
 TEST(Executor, VectorAddManyBlocksWithTail) {
   Device dev(test_gpu());
   const unsigned n = 1000;  // not a multiple of the 128-thread block

@@ -6,21 +6,27 @@
 // from a captured prefix with no fault behaves exactly like a fresh trial.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "beam/experiment.hpp"
+#include "common/bits.hpp"
 #include "fault/campaign.hpp"
 #include "fault/injector.hpp"
 #include "isa/kernel_builder.hpp"
 #include "job/runner.hpp"
+#include "job/serialize.hpp"
 #include "kernels/graph.hpp"
 #include "kernels/matmul.hpp"
 #include "kernels/microbench.hpp"
+#include "kernels/registry.hpp"
 #include "kernels/sort.hpp"
 #include "obs/metrics.hpp"
 #include "sim/device.hpp"
@@ -310,24 +316,17 @@ TEST(ForkEquivalence, CapturePrefixAndFaultFreeResume) {
   }
 
   // Given the snapshot set, a fault-free trial stops at the first mark after
-  // its start: Masked, the golden cycle count, one drop, and the golden
+  // its start: Masked, the golden cycle count, dropped, and the golden
   // cycles past that mark left unsimulated. From the last mark there is none
   // to stop at, and the trial runs to its end.
-  obs::Counter& dropped =
-      obs::Registry::global().counter("gpurel_campaign_dropped_trials_total");
-  obs::Counter& dropped_cycles =
-      obs::Registry::global().counter("gpurel_campaign_dropped_cycles_total");
   auto expect_stops_at = [&](auto&& trial, std::size_t next,
                              const std::string& what) {
-    const std::uint64_t trials_before = dropped.value();
-    const std::uint64_t cycles_before = dropped_cycles.value();
     const core::TrialResult r = trial();
     EXPECT_EQ(r.outcome, core::Outcome::Masked) << what;
     EXPECT_EQ(r.stats.cycles, fresh.stats.cycles) << what;
     const bool stops = next < snaps.size();
     EXPECT_EQ(r.dropped, stops) << what;
-    EXPECT_EQ(dropped.value() - trials_before, stops ? 1u : 0u) << what;
-    EXPECT_EQ(dropped_cycles.value() - cycles_before,
+    EXPECT_EQ(r.dropped_cycles,
               stops ? fresh.stats.cycles - (snaps[next].prior.cycles +
                                             snaps[next].exec.cycle)
                     : 0u)
@@ -373,9 +372,21 @@ TEST(ForkEquivalence, StateCompareSeesEverySingleChange) {
   auto sm = [&](sim::Snapshot& s) -> sim::SmSnap& {
     return s.exec.sms[warp(s).sm];
   };
+  // The snapshot keeps registers [0, regs_per_thread) of each lane, so the
+  // highest one kept is the last a change must reach.
+  const unsigned regs = snaps[1].exec.regs;
+  ASSERT_EQ(regs, w.max_regs_per_thread());
+  ASSERT_GT(regs, 1u);
   const std::vector<std::pair<std::string, Change>> changes{
-      {"register bit", [&](sim::Snapshot& s) { warp(s).lanes[0].r[0] ^= 1u; }},
+      {"register bit", [&](sim::Snapshot& s) { warp(s).regs[0] ^= 1u; }},
+      {"last register",
+       [&](sim::Snapshot& s) { warp(s).regs[regs - 1] ^= 1u; }},
+      {"last lane's last register",
+       [&](sim::Snapshot& s) { warp(s).regs.back() ^= 1u; }},
+      {"predicate", [&](sim::Snapshot& s) { warp(s).preds[31] ^= 1u; }},
       {"reg_ready", [&](sim::Snapshot& s) { warp(s).reg_ready[0] += 1; }},
+      {"last reg_ready",
+       [&](sim::Snapshot& s) { warp(s).reg_ready[regs - 1] += 1; }},
       {"pc", [&](sim::Snapshot& s) { warp(s).pc ^= 1u; }},
       {"active", [&](sim::Snapshot& s) { warp(s).active ^= 1u; }},
       {"stack",
@@ -393,14 +404,10 @@ TEST(ForkEquivalence, StateCompareSeesEverySingleChange) {
       {"cycle", [](sim::Snapshot& s) { s.exec.cycle += 1; }},
       {"prior cycles", [](sim::Snapshot& s) { s.prior.cycles += 1; }},
   };
-  obs::Counter& dropped =
-      obs::Registry::global().counter("gpurel_campaign_dropped_trials_total");
   for (const auto& [what, change] : changes) {
     sim::Snapshot mark = snaps[1];
     change(mark);
-    const std::uint64_t before = dropped.value();
     EXPECT_FALSE(stops(mark)) << what;
-    EXPECT_EQ(dropped.value(), before) << what;
   }
 }
 
@@ -661,32 +668,129 @@ TEST(ForkEquivalence, OneReferenceTrialPerCampaignAtAnyWorkerCount) {
 }
 
 TEST(ForkEquivalence, OneReferenceTrialPerBeamAtAnyWorkerCount) {
-  // The same for beams: 4 workers execute the reference trial once, plus
-  // one run per strike that reaches the simulator (the rest resolve when
-  // sampled).
+  // The same for beams: 4 workers execute the reference trial once, then
+  // one capture pass (this fork-safe workload forks), plus one run per
+  // strike that reaches the simulator (the rest resolve when sampled).
   const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2),
                           isa::CompilerProfile::Cuda10, 0x5eed, 1.0};
   std::atomic<unsigned> executes{0};
   auto factory = [&] {
     return std::make_unique<AddChainWorkload>(wc, &executes);
   };
-  obs::Counter& simulated =
-      obs::Registry::global().counter("gpurel_beam_simulated_runs_total");
+  obs::Registry& metrics = obs::Registry::global();
+  obs::Counter& simulated = metrics.counter("gpurel_beam_simulated_runs_total");
+  obs::Counter& reference = metrics.counter("gpurel_reference_trials_total");
+  obs::Counter& snapshots = metrics.counter("gpurel_beam_snapshots_total");
   beam::BeamConfig bc;
   bc.runs = 48;
   bc.ecc = false;
   bc.workers = 4;
   const std::uint64_t simulated_before = simulated.value();
+  const std::uint64_t reference_before = reference.value();
+  const std::uint64_t snapshots_before = snapshots.value();
   beam::run_beam(beam::CrossSectionDb::kepler(), factory, bc);
   const std::uint64_t runs = simulated.value() - simulated_before;
   ASSERT_GE(runs, 32u);
-  EXPECT_EQ(executes.load(), 1u + runs);
+  ASSERT_GT(snapshots.value() - snapshots_before, 0u);  // it did fork
+  EXPECT_EQ(executes.load(), 1u + 1u + runs);
+  EXPECT_EQ(reference.value() - reference_before, 1u);
+}
+
+TEST(ForkEquivalence, ForkedBeamsMatchPlainDigests) {
+  // run_beam forks every fork-safe workload whose simulated runs fund an
+  // epoch. The digests were recorded by a run_beam that never forked, so
+  // each case is a fork == plain check of the serialized result at 1, 3 and
+  // 4 workers and of a 3-way shard merge, with ECC on, with ECC off, and
+  // under natural flux at about 2 strikes per run. The codes are fork-safe:
+  // multi-launch MERGESORT, a tensor-core MMA code and a stencil. Every
+  // case captures snapshots and forks runs, and some runs drop.
+  struct Case {
+    bool volta;
+    kernels::CatalogEntry entry;
+    std::array<std::uint64_t, 3> digest;  // ECC on, ECC off, natural
+  };
+  const std::vector<Case> cases = {
+      {false,
+       {"MERGESORT", Precision::Int32},
+       {0xbe61446d7c98e90bull, 0xbb22833c6eb0b2e8ull, 0x05da5c73e3605cf2ull}},
+      {true,
+       {"GEMM-MMA", Precision::Half},
+       {0xb0541c19313f31cfull, 0x3f84dd2ff77c1b07ull, 0x7a50c3a74dafecb8ull}},
+      {false,
+       {"HOTSPOT", Precision::Single},
+       {0x2f15a0142cb0ab83ull, 0x2e45bdb43edb4c05ull, 0x54c8343ea9f8cbe9ull}},
+  };
+  obs::Registry& metrics = obs::Registry::global();
+  obs::Counter& snapshots = metrics.counter("gpurel_beam_snapshots_total");
+  obs::Counter& forked = metrics.counter("gpurel_beam_forked_runs_total");
+  obs::Counter& dropped = metrics.counter("gpurel_beam_dropped_runs_total");
+  const std::uint64_t dropped_before = dropped.value();
+  for (const Case& c : cases) {
+    const arch::GpuConfig gpu = c.volta ? arch::GpuConfig::volta_v100(2)
+                                        : arch::GpuConfig::kepler_k40c(2);
+    const auto db = beam::CrossSectionDb::for_arch(gpu.arch);
+    const auto factory = kernels::workload_factory(
+        c.entry.base, c.entry.precision,
+        {gpu, isa::CompilerProfile::Cuda10, 0x5eed, 0.05});
+    const std::string name = kernels::entry_name(c.entry);
+    ASSERT_TRUE(factory()->fork_safe()) << name;
+
+    beam::BeamConfig on;
+    on.runs = 64;
+    on.seed = 0xf02c;
+    beam::BeamConfig off = on;
+    off.ecc = false;
+    off.runs = 48;
+    beam::BeamConfig natural = off;
+    natural.mode = beam::BeamMode::Natural;
+    natural.runs = 24;
+    {
+      // Σw = device_sigma_rate * T; aim for 2 strikes per run.
+      beam::BeamConfig probe = on;
+      probe.runs = 0;
+      const double rate = beam::run_beam(db, factory, probe).device_sigma_rate;
+      const auto w = factory();
+      sim::Device dev(gpu);
+      w->prepare(dev);
+      natural.flux_scale =
+          2.0 / (rate * static_cast<double>(w->golden_stats().cycles));
+    }
+    const std::array<const beam::BeamConfig*, 3> modes = {&on, &off, &natural};
+    for (std::size_t m = 0; m < modes.size(); ++m) {
+      const std::string what = name + " mode " + std::to_string(m);
+      auto digest = [](const beam::BeamResult& r) {
+        return fnv1a64(job::beam_result_to_json(r).dump());
+      };
+      const std::uint64_t snapshots_before = snapshots.value();
+      const std::uint64_t forked_before = forked.value();
+      for (const unsigned workers : {1u, 3u, 4u}) {
+        beam::BeamConfig bc = *modes[m];
+        bc.workers = workers;
+        EXPECT_EQ(digest(beam::run_beam(db, factory, bc)), c.digest[m])
+            << what << " at " << workers << " workers";
+      }
+      std::optional<beam::BeamResult> merged;
+      for (unsigned shard = 0; shard < 3; ++shard) {
+        beam::BeamConfig bc = *modes[m];
+        bc.workers = 2;
+        bc.shard_index = shard;
+        bc.shard_count = 3;
+        const beam::BeamResult r = beam::run_beam(db, factory, bc);
+        if (merged) merged->merge(r); else merged = r;
+      }
+      EXPECT_EQ(digest(*merged), c.digest[m]) << what << ", 3 shards merged";
+      EXPECT_GT(snapshots.value() - snapshots_before, 0u) << what;
+      EXPECT_GT(forked.value() - forked_before, 0u) << what;
+    }
+  }
+  EXPECT_GT(dropped.value() - dropped_before, 0u);
 }
 
 TEST(ForkEquivalence, SnapshotPoolGaugeCountsWarpState) {
   // The pool gauge counts what the snapshot set retains, executor state
-  // included: every one of the 4 snapshots holds all kWarps warps, each far
-  // larger than this workload's memory image.
+  // included: every one of the 4 snapshots holds all kWarps warps, each with
+  // 32 lanes of the registers the program uses and their scoreboard
+  // entries, far more than this workload's empty memory image.
   auto inj = make_injector("NVBitFI");
   const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2), inj->profile(),
                           0x5eed, 1.0};
@@ -698,12 +802,103 @@ TEST(ForkEquivalence, SnapshotPoolGaugeCountsWarpState) {
   cc.injections_per_kind = 8;  // 16 trials: enough for 4 epochs
   cc.fork_epochs = 4;
   run_campaign(*inj, factory, cc);
-  const double warp_state =
-      4.0 * AddChainWorkload::kWarps * sizeof(sim::WarpSnap);
+  const unsigned regs = core::make_instance(factory).w->max_regs_per_thread();
+  ASSERT_GT(regs, 0u);
+  const double per_warp =
+      sizeof(sim::WarpSnap) +
+      regs * (32.0 * sizeof(std::uint32_t) + sizeof(std::uint64_t));
   EXPECT_GE(obs::Registry::global()
                 .gauge("gpurel_campaign_snapshot_pool_bytes")
                 .value(),
-            warp_state);
+            4.0 * AddChainWorkload::kWarps * per_warp);
+}
+
+/// Flips bit 0 of one register of the first live warp's lane 0 when the
+/// trial's simulated time reaches `cycle` (launch cycles are offset by the
+/// launches before, `base` of them already behind a forked trial), then
+/// claims nothing.
+class FlipAtCycle final : public sim::SimObserver {
+ public:
+  FlipAtCycle(std::uint64_t cycle, unsigned reg, std::uint64_t base)
+      : cycle_(cycle), reg_(static_cast<std::uint8_t>(reg)), base_(base) {}
+  unsigned wants() const override { return fired_ ? 0u : kWantsTimeAdvance; }
+  void on_launch_end(const sim::LaunchStats& st) override {
+    base_ += st.cycles;
+  }
+  void on_time_advance(std::uint64_t from, std::uint64_t to,
+                       sim::Machine& m) override {
+    if (fired_ || cycle_ < base_ + from || cycle_ >= base_ + to) return;
+    fired_ = true;
+    if (m.live_warp_count() == 0) return;
+    sim::ThreadRegs& r = m.live_warp_lane(0, 0);
+    r.set(reg_, r.get(reg_) ^ 1u);
+  }
+
+ private:
+  std::uint64_t cycle_;
+  std::uint8_t reg_;
+  std::uint64_t base_;
+  bool fired_ = false;
+};
+
+TEST(ForkEquivalence, PoisonedHighRegistersChangeNoResult) {
+  // Executor pool slots are reused across launches, and a placed warp is
+  // cleared, like a forked trial's warp is restored, only below its
+  // program's regs_per_thread. What an earlier launch left above that must
+  // not reach a result: after a kernel that writes every register of 256
+  // slots, the same trials, plain and forked, with a register strike at
+  // eight points of the run, end exactly as on a fresh device.
+  const WorkloadConfig wc{arch::GpuConfig::kepler_k40c(2),
+                          isa::CompilerProfile::Cuda10, 0x5eed, 0.05};
+  isa::KernelBuilder pb("poison", wc.profile);
+  for (unsigned r = 0; r < isa::kRZ; ++r)
+    pb.movi(pb.reg(), static_cast<std::int32_t>(0x5a5a0000u | r));
+  const isa::Program poison = pb.build();
+  ASSERT_EQ(poison.regs_per_thread(), isa::kRZ);
+
+  using Result = std::tuple<Outcome, std::uint64_t, std::uint64_t, bool>;
+  auto trials = [&](bool poisoned) {
+    sim::Device dev(wc.gpu);
+    if (poisoned) {
+      const sim::LaunchStats st =
+          dev.launch({&poison, {256, 1}, {32, 1}, 0, {}});
+      EXPECT_EQ(st.due, sim::DueKind::None);
+    }
+    MxM w(wc, Precision::Single, 16);
+    w.prepare(dev);
+    EXPECT_LT(w.max_regs_per_thread(), isa::kRZ);
+    const sim::LaunchStats& golden = w.golden_stats();
+    std::vector<Result> out{{Outcome::Masked, golden.cycles,
+                             golden.lane_instructions, false}};
+    std::vector<sim::Snapshot> snaps;
+    w.capture_prefix(dev,
+                     {golden.lane_instructions / 3,
+                      2 * golden.lane_instructions / 3},
+                     snaps);
+    for (unsigned k = 0; k < 8; ++k) {
+      const std::uint64_t cycle = golden.cycles * k / 8;
+      const unsigned reg = k % w.max_regs_per_thread();
+      for (int e = -1; e < static_cast<int>(snaps.size()); ++e) {
+        const sim::Snapshot* from =
+            e < 0 ? nullptr : &snaps[static_cast<std::size_t>(e)];
+        if (from != nullptr && from->prior.cycles + from->exec.cycle > cycle)
+          continue;
+        FlipAtCycle strike(cycle, reg, from ? from->prior.cycles : 0);
+        const core::TrialResult r =
+            from ? w.run_trial_forked(dev, *from, &strike, true, &snaps)
+                 : w.run_trial(dev, &strike, &snaps);
+        out.emplace_back(r.outcome, r.stats.cycles, r.stats.lane_instructions,
+                         r.dropped);
+      }
+    }
+    return out;
+  };
+  const std::vector<Result> fresh = trials(false);
+  EXPECT_EQ(trials(true), fresh);
+  // The strikes must matter somewhere, or nothing above is tested.
+  EXPECT_TRUE(std::any_of(fresh.begin(), fresh.end(), [](const Result& r) {
+    return std::get<0>(r) != Outcome::Masked || std::get<3>(r);
+  }));
 }
 
 TEST(ForkEquivalence, CapturePrefixRejectsNonForkSafe) {
